@@ -108,6 +108,12 @@ pub struct CostModel {
     /// digest feeds is an install-time `u128` constant
     /// (`RuleSet::allow_threshold`) — no per-packet float math rides on
     /// top of the hash.
+    ///
+    /// The value reproduces the paper's figures and deliberately does not
+    /// follow the compression kernel `vif_crypto::sha256` dispatches at
+    /// run time: the SHA-NI kernel makes real hashing several times
+    /// cheaper on hosts that have it, but the model prices the paper's
+    /// testbed, not this one.
     pub sha256_ns: f64,
 }
 

@@ -138,9 +138,9 @@ impl StatelessFilter {
     }
 
     /// The reference decide path: [`RuleSet::classify_reference`] plus the
-    /// streaming SHA-256 hasher and a per-packet threshold recomputation —
-    /// the pre-compilation implementation, preserved end to end with no
-    /// shared hot-path code.
+    /// streaming SHA-256 hasher on the portable kernel and a per-packet
+    /// threshold recomputation — the pre-compilation implementation,
+    /// preserved end to end with no shared hot-path code.
     ///
     /// Bit-identical verdicts to [`decide`](StatelessFilter::decide) are a
     /// hard requirement (audit equivalence and the batch invariant depend
@@ -229,12 +229,13 @@ impl StatelessFilter {
         u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
     }
 
-    /// The same hash via the streaming hasher (reference path only).
+    /// The same hash via the streaming hasher on the portable kernel
+    /// (reference path only): the oracle shares no compression code with
+    /// the data path, whichever kernel the CPU dispatches.
     fn hash_threshold_streaming(&self, t: &FiveTuple) -> u64 {
-        let mut h = Sha256::new();
-        h.update(&t.encode());
-        h.update(&self.secret);
-        let digest = h.finalize();
+        let mut msg = t.encode().to_vec();
+        msg.extend_from_slice(&self.secret);
+        let digest = Sha256::digest_portable(&msg);
         u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
     }
 

@@ -130,6 +130,18 @@ impl AuthenticatedSketch {
         h.finalize()
     }
 
+    /// Authenticates `payload` as the `direction` log of `round` under
+    /// `key`. [`PacketLogs::export`] seals its encoded sketches with it.
+    pub fn seal(key: &[u8; 32], direction: LogDirection, round: u64, payload: Vec<u8>) -> Self {
+        let tag = Self::mac_over(key, direction, round, &payload);
+        AuthenticatedSketch {
+            direction,
+            round,
+            payload,
+            tag,
+        }
+    }
+
     /// Verifies the export and decodes the sketch.
     ///
     /// # Errors
@@ -294,13 +306,7 @@ impl PacketLogs {
             LogDirection::Incoming => self.incoming.encode(),
             LogDirection::Outgoing => self.outgoing.encode(),
         };
-        let tag = AuthenticatedSketch::mac_over(key, direction, self.round, &payload);
-        AuthenticatedSketch {
-            direction,
-            round: self.round,
-            payload,
-            tag,
-        }
+        AuthenticatedSketch::seal(key, direction, self.round, payload)
     }
 
     /// Starts a new filtering round: clears both sketches and bumps the

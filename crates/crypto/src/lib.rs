@@ -8,7 +8,8 @@
 //! crates permitted for this reproduction provide these primitives, so this
 //! crate implements them from scratch:
 //!
-//! - [`sha256`]: FIPS 180-4 SHA-256 (streaming + one-shot),
+//! - [`sha256`]: FIPS 180-4 SHA-256 (streaming + one-shot), on the x86-64
+//!   SHA extensions when the CPU has them and a portable kernel otherwise,
 //! - [`hmac`]: RFC 2104 HMAC-SHA-256 with constant-time verification,
 //! - [`kdf`]: RFC 5869 HKDF (extract/expand),
 //! - [`bignum`]: fixed-purpose big unsigned integers (Knuth Algorithm D
@@ -27,6 +28,11 @@
 //! side channels beyond constant-time tag comparison. The paper itself
 //! declares side-channel attacks out of scope (§II-D).
 //!
+//! The crate denies `unsafe` code everywhere except the SHA-NI kernel
+//! module in [`sha256`], whose two unsafe sites (the call into the
+//! `target_feature` function after run-time detection, and the unaligned
+//! block load) carry their safety arguments.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +44,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bignum;

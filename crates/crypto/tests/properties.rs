@@ -5,25 +5,102 @@ use proptest::prelude::*;
 use vif_crypto::bignum::BigUint;
 use vif_crypto::channel::SecureChannel;
 use vif_crypto::hmac::HmacSha256;
-use vif_crypto::sha256::Sha256;
+use vif_crypto::sha256::{Kernel, Sha256, BLOCK_LEN, DIGEST_LEN};
 use vif_crypto::{hex, kdf};
 
+/// RFC 2104 HMAC-SHA-256 over the portable kernel only.
+fn hmac_portable(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut k = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        k[..DIGEST_LEN].copy_from_slice(&Sha256::digest_portable(key));
+    } else {
+        k[..key.len()].copy_from_slice(key);
+    }
+    let mut inner = k.map(|b| b ^ 0x36).to_vec();
+    inner.extend_from_slice(msg);
+    let mut outer = k.map(|b| b ^ 0x5c).to_vec();
+    outer.extend_from_slice(&Sha256::digest_portable(&inner));
+    Sha256::digest_portable(&outer)
+}
+
+/// The dispatched digest equals the portable digest for every length
+/// across three blocks, covering each padding layout (one or two final
+/// blocks, length field split from the data).
+#[test]
+fn sha256_dispatched_matches_portable_every_length() {
+    let data: Vec<u8> = (0..=192u32).map(|i| (i * 31 + 7) as u8).collect();
+    for n in 0..=192 {
+        assert_eq!(
+            Sha256::digest(&data[..n]),
+            Sha256::digest_portable(&data[..n]),
+            "length {n}"
+        );
+    }
+}
+
+/// A silent fallback to the portable kernel on a CPU with the SHA
+/// extensions would keep every output right and lose the speed; pin the
+/// dispatch instead.
+#[test]
+fn sha_ni_is_dispatched_when_the_cpu_has_it() {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+        && std::arch::is_x86_feature_detected!("ssse3")
+    {
+        assert_eq!(Kernel::detected(), Kernel::ShaNi);
+        assert_eq!(Sha256::new().kernel(), Kernel::ShaNi);
+        return;
+    }
+    assert!(!Kernel::ShaNi.is_available());
+    assert_eq!(Sha256::new().kernel(), Kernel::Portable);
+}
+
 proptest! {
-    /// Streaming SHA-256 equals one-shot for arbitrary chunkings.
+    /// The detected kernel and the portable kernel compute the same
+    /// compression on arbitrary chaining states and block runs.
+    #[test]
+    fn sha256_kernels_agree_on_random_states(
+        state in any::<[u32; 8]>(),
+        blocks in vec(any::<[u8; BLOCK_LEN]>(), 1..4),
+    ) {
+        let mut hw = state;
+        Kernel::detected().compress_blocks(&mut hw, &blocks);
+        let mut sw = state;
+        Kernel::Portable.compress_blocks(&mut sw, &blocks);
+        prop_assert_eq!(hw, sw);
+    }
+
+    /// HMAC on the dispatched kernel equals a portable-only HMAC, keys
+    /// longer than a block (hashed first) included.
+    #[test]
+    fn hmac_matches_portable_reference(
+        key in vec(any::<u8>(), 0..200),
+        msg in vec(any::<u8>(), 0..300),
+    ) {
+        prop_assert_eq!(HmacSha256::mac(&key, &msg), hmac_portable(&key, &msg));
+    }
+
+    /// Streaming SHA-256 equals one-shot for arbitrary chunkings, and both
+    /// equal the portable kernel's digest.
     #[test]
     fn sha256_streaming_equivalence(data in vec(any::<u8>(), 0..2048), split in any::<prop::sample::Index>()) {
         let cut = split.index(data.len() + 1);
         let mut h = Sha256::new();
         h.update(&data[..cut]);
         h.update(&data[cut..]);
-        prop_assert_eq!(h.finalize(), Sha256::digest(&data));
+        let reference = Sha256::digest_portable(&data);
+        prop_assert_eq!(Sha256::digest(&data), reference);
+        prop_assert_eq!(h.finalize(), reference, "split at {}", cut);
     }
 
     /// The single-block fast path is bit-identical to the streaming hasher
-    /// for every message that fits one padded block.
+    /// for every message that fits one padded block, on either kernel.
     #[test]
     fn sha256_one_block_equivalence(data in vec(any::<u8>(), 0..=55)) {
-        prop_assert_eq!(Sha256::digest_one_block(&data), Sha256::digest(&data));
+        let one_block = Sha256::digest_one_block(&data);
+        prop_assert_eq!(one_block, Sha256::digest(&data));
+        prop_assert_eq!(one_block, Sha256::digest_portable(&data));
     }
 
     /// HMAC verifies its own tags and rejects any single-bit flip.

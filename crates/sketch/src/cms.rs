@@ -383,23 +383,24 @@ impl CountMinSketch {
             return Err(SketchDecodeError::Malformed);
         }
         let rd = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-        let width = rd(0) as usize;
-        let depth = rd(1) as usize;
+        let dim = |i: usize| usize::try_from(rd(i)).ok().filter(|&d| d > 0);
+        let (Some(width), Some(depth)) = (dim(0), dim(1)) else {
+            return Err(SketchDecodeError::ImplausibleDimensions);
+        };
         let seed = rd(2);
         let total = rd(3);
-        if width == 0 || depth == 0 || width.saturating_mul(depth) > (1 << 28) {
-            return Err(SketchDecodeError::ImplausibleDimensions);
-        }
-        let expected = 32 + width * depth * 8;
-        if bytes.len() != expected {
+        let cells = width
+            .checked_mul(depth)
+            .filter(|&c| c <= 1 << 28)
+            .ok_or(SketchDecodeError::ImplausibleDimensions)?;
+        // Nothing is allocated until the length agrees with the header.
+        if bytes.len() - 32 != cells * 8 {
             return Err(SketchDecodeError::Malformed);
         }
-        let mut counters = Vec::with_capacity(width * depth);
-        for i in 0..width * depth {
-            counters.push(u64::from_le_bytes(
-                bytes[32 + i * 8..40 + i * 8].try_into().unwrap(),
-            ));
-        }
+        let counters = bytes[32..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
         let config = SketchConfig { width, depth, seed };
         let rows = (0..depth).map(|r| LinearHash::from_seed(seed, r)).collect();
         Ok(CountMinSketch {
