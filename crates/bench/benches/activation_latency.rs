@@ -1,18 +1,24 @@
-//! Epoch publication cost split: on-lock swap vs. off-lock rebuild/clone.
+//! Epoch publication cost split: on-lock swap vs. off-lock edit/clone.
 //!
 //! The always-on service keeps workers hot through rule churn because an
 //! epoch publication does the expensive parts off the enclave lock: the
-//! churned rule set is recompiled **once** (`batch_edit`), then cloned per
+//! churned rule set is updated **once** (`batch_edit`), then cloned per
 //! slice — both while workers keep filtering on the old table — and only
 //! the final swap ([`FilterEnclaveApp::install_published`]) contends with
 //! the packet path. This bench pins each piece per rule-set size:
 //!
 //! - `swap_install`: the on-lock half — installing a prebuilt replica
-//!   (move + old-filter teardown + counter reset), the whole window during
-//!   which that slice's packets wait;
-//! - `replica_clone`: the off-lock per-slice copy (`RuleSet::clone` deep-
-//!   copies rules/counters/trie; the compiled classifier rides along as a
-//!   shared `Arc`);
+//!   (pointer swap + counter reset; the retired filter is handed back and
+//!   dropped by the caller, here inside the measured window), the whole
+//!   window during which that slice's packets wait;
+//! - `replica_clone`: the off-lock per-slice copy (`RuleSet::clone` bumps
+//!   the shared index's reference count and copies the per-rule
+//!   counters);
+//! - `publish_edit`: the off-lock edit the publisher pays once per epoch —
+//!   one install plus one withdrawal through `batch_edit` on a clone that
+//!   shares the live index, as `EnclaveCluster::publish` does: the first
+//!   edit copies the index, the scope patches the host table (the copy's
+//!   teardown is inside the measured window);
 //! - `rebuild`: the off-lock compile (`RuleSet::from_rules`) — the floor a
 //!   naive swap-by-recompile design would pay per slice while its workers
 //!   stall.
@@ -31,7 +37,8 @@ const RULE_COUNTS: [usize; 3] = [256, 1024, 4096];
 
 fn bench(c: &mut Criterion) {
     for &rules in &RULE_COUNTS {
-        let (rule_list, _) = host_rule_list(rules, 9);
+        let (mut rule_list, _) = host_rule_list(rules + 1, 9);
+        let fresh = rule_list.pop().expect("one rule past the set");
         let compiled = RuleSet::from_rules(rule_list.clone());
         let mut group = c.benchmark_group(format!("activation_latency/{rules}_rules"));
         group.sample_size(30);
@@ -58,7 +65,23 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(black_box(&compiled).clone()));
         });
 
-        // Off-lock compile the publisher pays once per epoch.
+        // Off-lock edit the publisher pays once per epoch: one install and
+        // one withdrawal on a clone sharing the live index.
+        group.bench_with_input(BenchmarkId::new("publish_edit", rules), &rules, |b, _| {
+            b.iter_batched(
+                || compiled.clone(),
+                |mut rs| {
+                    rs.batch_edit(|e| {
+                        e.insert(fresh);
+                        e.remove(0);
+                    });
+                    black_box(rs.len())
+                },
+                BatchSize::SmallInput,
+            );
+        });
+
+        // Off-lock compile a naive design would pay per epoch.
         group.bench_with_input(BenchmarkId::new("rebuild", rules), &rules, |b, _| {
             b.iter(|| black_box(RuleSet::from_rules(black_box(rule_list.clone()))));
         });

@@ -2,35 +2,51 @@
 //!
 //! [`RuleSet::classify`](crate::ruleset::RuleSet::classify) must answer,
 //! for every packet: *which installed rule decides this five tuple?* The
-//! reference implementation walks the authoritative coarse-rule trie with
-//! [`MultiBitTrie::lookup_path`](vif_trie::MultiBitTrie::lookup_path) —
-//! up to 33 ordered-map probes plus a `Vec` allocation per packet, which
-//! is orders of magnitude away from the paper's §V line-rate budget
-//! (two linear hashes and one table walk per packet).
+//! reference implementation
+//! ([`RuleSet::classify_reference`](crate::ruleset::RuleSet::classify_reference))
+//! probes the authoritative prefix map once per source-prefix length — up
+//! to 33 ordered-map probes per packet, orders of magnitude away from the
+//! paper's §V line-rate budget (two linear hashes and one table walk per
+//! packet).
 //!
-//! [`CompiledClassifier`] is the read-only compiled form, rebuilt whenever
-//! the rule set changes (the enclave's copy-on-write table swap at rule
-//! install time, Appendix F):
+//! [`CompiledClassifier`] is the compiled form the hot path runs on:
 //!
-//! - the coarse rules are compiled into a [`CompiledTrie`] stride walk
-//!   whose per-slot candidate lists are pre-sorted longest-prefix-first
-//!   (see `vif_trie::compiled`), so the covering-prefix scan is at most
-//!   `32 / stride` array reads with **no allocation and no map probes**;
-//! - each trie value is a span into one flat candidate array holding the
-//!   rule's match constraints *by value* (masks, port bounds,
-//!   protocol, rule id) — candidate evaluation never chases back into the
+//! - rules on a `/32` source prefix live in a **host table** keyed by the
+//!   source address and probed first — `/32` is the longest prefix, so a
+//!   host rule always precedes every shorter one;
+//! - rules on shorter source prefixes are compiled into a [`CompiledTrie`]
+//!   stride walk whose per-slot candidate lists are pre-sorted
+//!   longest-prefix-first (see `vif_trie::compiled`), so the
+//!   covering-prefix scan is at most `32 / stride` array reads with **no
+//!   allocation and no map probes**;
+//! - both map a prefix to a span of one flat candidate array holding the
+//!   rules' match constraints *by value* (masks, port bounds, protocol,
+//!   rule id) — candidate evaluation never chases back into the
 //!   `FilterRule` array, keeping the walk cache-linear.
 //!
 //! Candidate order reproduces the reference precedence exactly: prefixes
 //! longest-first, and within one prefix the bucket's insertion order —
 //! the property test `compiled_classifier_matches_reference` pins
-//! bit-identical verdicts against the `lookup_path` reference.
+//! bit-identical verdicts against the reference.
+//!
+//! **Patch vs. recompile.** Rule churn is mostly host rules coming and
+//! going, so an edit scope that touches only `/32` sources and exact rules
+//! is applied in O(edits) by `patch`: each touched host gets its bucket
+//! re-appended to the candidate array and its table entry re-pointed, and
+//! new rules' thresholds are appended. An edit to a shorter prefix
+//! rewrites trie slots shared with other prefixes, so it
+//! [`compile`](CompiledClassifier::compile)s from scratch; such edits are
+//! rare and small. Patching leaves the replaced spans behind as dead
+//! candidates; once they outnumber the live ones the rule set compacts by
+//! a full recompile.
 
+use crate::fasthash::FxHashMap;
 use crate::filter::allow_threshold;
 use crate::rules::{FilterRule, RuleDecision};
-use crate::ruleset::RuleId;
+use crate::ruleset::{Bucket, RuleId};
+use std::collections::BTreeMap;
 use vif_dataplane::{FiveTuple, Protocol};
-use vif_trie::{CompiledTrie, Ipv4Prefix, MultiBitTrie};
+use vif_trie::{CompiledTrie, Ipv4Prefix};
 
 /// One coarse rule, flattened for the hot path: the full `FlowPattern`
 /// constraint set as plain words, plus the rule id to report on a match.
@@ -100,17 +116,30 @@ impl CompiledCandidate {
 }
 
 /// Span into the flat candidate array (start index, length).
-type CandSpan = (u32, u32);
+pub(crate) type CandSpan = (u32, u32);
+
+/// Bytes of one compiled candidate (the memory model's per-rule term).
+pub(crate) const CANDIDATE_BYTES: usize = std::mem::size_of::<CompiledCandidate>();
+
+/// Stride of the compiled trie (one byte of source address per level).
+pub(crate) const STRIDE: u8 = 8;
 
 /// The compiled coarse-rule classifier (see the [module docs](self)).
 ///
-/// Read-only: compiled from the authoritative rule structures by
-/// [`compile`](CompiledClassifier::compile), replaced wholesale on every
-/// rule-set mutation.
+/// Compiled from the authoritative rule structures by
+/// [`compile`](CompiledClassifier::compile) and patched in place by
+/// `patch` for host-rule churn. A rule set shares it between clones and
+/// edits a private copy, so a published epoch never changes under its
+/// readers.
 #[derive(Debug, Clone)]
 pub struct CompiledClassifier {
+    /// Source prefixes shorter than `/32`.
     trie: CompiledTrie<CandSpan>,
+    /// `/32` source prefixes, keyed by source address.
+    hosts: FxHashMap<u32, CandSpan>,
     candidates: Vec<CompiledCandidate>,
+    /// Candidates no span points at any more, left behind by patches.
+    dead: usize,
     /// Per-rule (by [`RuleId`], **all** rules — exact ones included) allow
     /// threshold `p_allow · 2⁶⁴` of the Appendix A hash decision, computed
     /// once at compile (= rule-install) time so no hash-decided packet
@@ -119,38 +148,94 @@ pub struct CompiledClassifier {
     thresholds: Vec<u128>,
 }
 
+fn threshold(rule: &FilterRule) -> u128 {
+    match rule.decision() {
+        RuleDecision::Probabilistic { p_allow } => allow_threshold(p_allow),
+        RuleDecision::Deterministic(_) => 0,
+    }
+}
+
+/// Appends one bucket's candidates, returning their span.
+fn push_bucket(
+    candidates: &mut Vec<CompiledCandidate>,
+    bucket: &[RuleId],
+    rules: &[FilterRule],
+) -> CandSpan {
+    let start = candidates.len() as u32;
+    candidates.extend(
+        bucket
+            .iter()
+            .map(|&id| CompiledCandidate::compile(id, &rules[id as usize])),
+    );
+    (start, bucket.len() as u32)
+}
+
 impl CompiledClassifier {
     /// Compiles the coarse side of a rule set: `coarse` maps each source
     /// prefix to its bucket of rule ids (insertion order), `rules` is the
     /// full rule array the ids index into.
-    pub fn compile(coarse: &MultiBitTrie<Vec<RuleId>>, rules: &[FilterRule]) -> Self {
+    pub fn compile<B: AsRef<[RuleId]>>(
+        coarse: &BTreeMap<Ipv4Prefix, B>,
+        rules: &[FilterRule],
+    ) -> Self {
         let mut candidates = Vec::new();
-        // Straight into the compiled form (`from_entries`): no
-        // intermediate expanded trie is built and thrown away.
-        let trie = CompiledTrie::from_entries(
-            coarse.stride(),
-            coarse.iter().map(|(prefix, bucket)| {
-                let start = candidates.len() as u32;
-                candidates.extend(
-                    bucket
-                        .iter()
-                        .map(|&id| CompiledCandidate::compile(id, &rules[id as usize])),
-                );
-                (*prefix, (start, bucket.len() as u32))
-            }),
-        );
-        let thresholds = rules
-            .iter()
-            .map(|r| match r.decision() {
-                RuleDecision::Probabilistic { p_allow } => allow_threshold(p_allow),
-                RuleDecision::Deterministic(_) => 0,
-            })
-            .collect();
-        CompiledClassifier {
-            trie,
-            candidates,
-            thresholds,
+        let mut hosts = FxHashMap::default();
+        let mut shorter = Vec::new();
+        for (prefix, bucket) in coarse {
+            let span = push_bucket(&mut candidates, bucket.as_ref(), rules);
+            if prefix.len() == 32 {
+                hosts.insert(prefix.addr(), span);
+            } else {
+                shorter.push((*prefix, span));
+            }
         }
+        CompiledClassifier {
+            trie: CompiledTrie::from_entries(STRIDE, shorter),
+            hosts,
+            candidates,
+            dead: 0,
+            thresholds: rules.iter().map(threshold).collect(),
+        }
+    }
+
+    /// Applies an edit scope that touched only `/32` sources and exact
+    /// rules, in O(edits): appends the thresholds of rules installed since
+    /// the last compile or patch, and re-points every host in `hosts` at a
+    /// fresh copy of its current bucket in `coarse` (or drops it if the
+    /// bucket is gone). The spans replaced are left behind as dead
+    /// candidates; see [`needs_compaction`](Self::needs_compaction).
+    pub(crate) fn patch(
+        &mut self,
+        hosts: &[u32],
+        coarse: &BTreeMap<Ipv4Prefix, Bucket>,
+        rules: &[FilterRule],
+    ) {
+        let known = self.thresholds.len();
+        self.thresholds.extend(rules[known..].iter().map(threshold));
+        for &addr in hosts {
+            let span = coarse
+                .get(&Ipv4Prefix::host(addr))
+                .map(|bucket| push_bucket(&mut self.candidates, bucket, rules));
+            let old = match span {
+                Some(span) => self.hosts.insert(addr, span),
+                None => self.hosts.remove(&addr),
+            };
+            if let Some((_, len)) = old {
+                self.dead += len as usize;
+            }
+        }
+    }
+
+    /// True once dead candidates outnumber live ones: the owner should
+    /// recompile to reclaim them.
+    pub(crate) fn needs_compaction(&self) -> bool {
+        self.dead > self.candidates.len() - self.dead
+    }
+
+    /// Length of the candidate array, dead spans included.
+    #[cfg(test)]
+    pub(crate) fn candidate_slots(&self) -> usize {
+        self.candidates.len()
     }
 
     /// The install-time allow threshold of rule `id` (see the field docs).
@@ -168,22 +253,24 @@ impl CompiledClassifier {
     /// set matches. Allocation-free.
     #[inline]
     pub fn classify_coarse(&self, t: &FiveTuple) -> Option<RuleId> {
-        for hit in self.trie.path(t.src_ip) {
-            let (start, len) = *hit.value;
-            for cand in &self.candidates[start as usize..(start + len) as usize] {
-                if cand.matches(t) {
-                    return Some(cand.id);
+        if !self.hosts.is_empty() {
+            if let Some(&span) = self.hosts.get(&t.src_ip) {
+                if let Some(id) = self.first_match(span, t) {
+                    return Some(id);
                 }
             }
         }
-        None
+        self.trie
+            .path(t.src_ip)
+            .find_map(|hit| self.first_match(*hit.value, t))
     }
 
-    /// Estimated memory footprint of the compiled structures, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.trie.memory_bytes()
-            + self.candidates.len() * std::mem::size_of::<CompiledCandidate>()
-            + self.thresholds.len() * std::mem::size_of::<u128>()
+    #[inline]
+    fn first_match(&self, (start, len): CandSpan, t: &FiveTuple) -> Option<RuleId> {
+        self.candidates[start as usize..(start + len) as usize]
+            .iter()
+            .find(|cand| cand.matches(t))
+            .map(|cand| cand.id)
     }
 }
 

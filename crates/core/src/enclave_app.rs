@@ -723,10 +723,18 @@ impl FilterEnclaveApp {
 
     /// Installs a new rule set (redistribution round). Resets the hybrid
     /// cache — promoted exact-match entries derive from the old rules.
-    pub fn install_ruleset(&mut self, ruleset: RuleSet) {
+    ///
+    /// Returns the retired filter — its rule set and its promoted-flow
+    /// cache — so the caller can drop it after the ECall returns: freeing
+    /// a large cache is the costly part of a swap, and it must not hold
+    /// the enclave lock the packet path waits on.
+    pub fn install_ruleset(&mut self, ruleset: RuleSet) -> HybridFilter {
         let secret = *self.filter.secret();
         let max = self.filter.max_cached_flows();
-        self.filter = HybridFilter::new(StatelessFilter::new(ruleset, secret), max);
+        std::mem::replace(
+            &mut self.filter,
+            HybridFilter::new(StatelessFilter::new(ruleset, secret), max),
+        )
     }
 
     /// Queues rule edits directly (control-plane ECall; session-driven
@@ -767,8 +775,8 @@ impl FilterEnclaveApp {
     }
 
     /// Epoch-publication step 1 (a brief ECall): hand the publisher a clone
-    /// of the live rule set — cheap, the compiled classifier rides along as
-    /// a shared [`Arc`] handle — plus the drained pending-edit queue. The
+    /// of the live rule set — a reference bump on its shared index plus a
+    /// copy of the counters — plus the drained pending-edit queue. The
     /// publisher applies the edits and rebuilds **outside** the enclave
     /// lock, then re-enters with
     /// [`install_published`](FilterEnclaveApp::install_published).
@@ -807,29 +815,36 @@ impl FilterEnclaveApp {
     /// telemetry counters restart — plus an epoch bump, so concurrent
     /// readers can tell exactly which rule generation a burst was decided
     /// under. Credits the epoch to the default contract 0.
-    pub fn install_published(&mut self, ruleset: RuleSet) {
-        self.install_ruleset(ruleset);
+    ///
+    /// Returns the retired filter, for the caller to drop off the lock (see
+    /// [`install_ruleset`](FilterEnclaveApp::install_ruleset)).
+    pub fn install_published(&mut self, ruleset: RuleSet) -> HybridFilter {
+        let retired = self.install_ruleset(ruleset);
         self.reset_rule_counters();
         self.publish_epoch += 1;
         self.contracts[0].epoch += 1;
+        retired
     }
 
     /// [`install_published`](FilterEnclaveApp::install_published) for one
     /// contract: bumps only that contract's epoch (plus the app-wide
     /// counter) and records `new_owned` — the ids the publisher assigned
     /// to the contract's deferred installs — into its ownership set.
+    /// Returns the retired filter, as
+    /// [`install_published`](FilterEnclaveApp::install_published) does.
     pub fn install_published_for(
         &mut self,
         contract: ContractId,
         ruleset: RuleSet,
         new_owned: &[RuleId],
-    ) {
-        self.install_ruleset(ruleset);
+    ) -> HybridFilter {
+        let retired = self.install_ruleset(ruleset);
         self.reset_rule_counters();
         self.publish_epoch += 1;
         let slot = self.slot_mut_or_create(contract);
         slot.epoch += 1;
         slot.owned.extend_from_slice(new_owned);
+        retired
     }
 
     /// Epochs published into this enclave since launch (all contracts).
@@ -1183,6 +1198,23 @@ mod tests {
         assert_eq!(a.process(&attack_tuple(1), 64).action, RuleAction::Drop);
         a.install_ruleset(RuleSet::new());
         assert_eq!(a.process(&attack_tuple(1), 64).action, RuleAction::Allow);
+    }
+
+    #[test]
+    fn install_published_hands_back_the_retired_filter() {
+        let mut a = app();
+        a.process(&attack_tuple(1), 64);
+        // The old epoch comes back whole — rules and telemetry — for the
+        // publisher to drop once the ECall has released the lock.
+        let retired = a.install_published(RuleSet::new());
+        assert_eq!(retired.inner().ruleset().len(), 1);
+        assert_eq!(retired.inner().ruleset().counters()[0].packets, 1);
+        assert!(a.ruleset().is_empty());
+        assert_eq!(a.epoch(), 1);
+        let retired = a.install_published_for(0, victim_rules(), &[]);
+        assert!(retired.inner().ruleset().is_empty());
+        assert_eq!(a.ruleset().len(), 1);
+        assert_eq!(a.epoch(), 2);
     }
 
     #[test]

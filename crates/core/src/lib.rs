@@ -30,9 +30,9 @@
 //! [`sketch_backend`]), so the data plane, the scale-out cluster, and the
 //! benches all share one batch-oriented seam.
 //!
-//! The per-packet decide path is *compiled*: rule installs rebuild a
-//! flat, read-only [`classifier::CompiledClassifier`] (stride walk over
-//! compiled trie arrays, flattened candidate lists) and the hot-path
+//! The per-packet decide path is *compiled*: rule installs update a
+//! flat [`classifier::CompiledClassifier`] (a `/32` host table, a stride
+//! walk over compiled trie arrays, flattened candidate lists) and the hot-path
 //! tables key on the deterministic multiply-xor hasher of [`fasthash`],
 //! so steady-state classification performs no heap allocation, no
 //! SipHash, and no ordered-map probes.
@@ -53,6 +53,7 @@ pub mod enclave_app;
 pub mod endtoend;
 pub mod fasthash;
 pub mod filter;
+mod footprint;
 pub mod hybrid;
 pub mod logs;
 pub mod retry;

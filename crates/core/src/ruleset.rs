@@ -1,8 +1,8 @@
 //! Rule sets with the enclave's lookup structures.
 //!
 //! Exact-match five-tuple rules live in a hash table; coarse rules are
-//! bucketed by source prefix in a multi-bit trie (§V-A's "Filter Rule
-//! Lookup Table: multi-bit tries"). Classification precedence:
+//! bucketed by source prefix in an ordered prefix map (§V-A's "Filter
+//! Rule Lookup Table"). Classification precedence:
 //!
 //! 1. an exact five-tuple rule, if one matches,
 //! 2. the coarse rule with the longest matching source prefix whose port
@@ -11,22 +11,35 @@
 //! 3. no match — the filter's default applies (ALLOW: VIF only drops what
 //!    the victim asked it to drop).
 //!
-//! Classification runs on two compiled hot-path structures, rebuilt on
-//! every rule mutation (the install-time table swap of Appendix F): the
+//! Classification runs on two compiled hot-path structures: the
 //! exact-match table keyed by the deterministic fast hasher
 //! ([`crate::fasthash`], replacing std's per-byte SipHash) and the
-//! [`CompiledClassifier`] stride walk (replacing per-packet
-//! `lookup_path` map probes and their `Vec` allocation). The original
-//! trie-map path survives as [`RuleSet::classify_reference`], the oracle
-//! the property tests compare the compiled path against.
+//! [`CompiledClassifier`] (a `/32` host table in front of a stride walk,
+//! replacing per-packet prefix-map probes). The prefix-map path survives as
+//! [`RuleSet::classify_reference`], the oracle the property tests compare
+//! the compiled path against.
+//!
+//! **Epochs share one index.** Everything but the per-rule telemetry —
+//! rules, tombstones, the exact table, the prefix map and the compiled
+//! classifier — sits in one index behind an [`Arc`], never edited while
+//! shared. Cloning a rule set (the epoch-publication path: the master's
+//! live set cloned for the publisher, the rebuilt set cloned into every
+//! slice) is a reference bump plus a copy of the counters. An edit scope
+//! copies the index once, on its first effective edit, and edits the
+//! private copy, so a clone handed to a reader is a frozen epoch: nothing
+//! its owner does later changes what it classifies. Edits to `/32`
+//! sources and exact rules patch the compiled classifier in O(edits); see
+//! [`crate::classifier`] for when it recompiles instead.
 
 use crate::classifier::CompiledClassifier;
 use crate::fasthash::FxHashMap;
+use crate::footprint::Footprint;
 use crate::rules::FilterRule;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
-use vif_trie::{Ipv4Prefix, MultiBitTrie};
+use vif_trie::Ipv4Prefix;
 
 /// Identifier of a rule within a [`RuleSet`] (insertion index).
 pub type RuleId = u32;
@@ -54,27 +67,86 @@ pub struct RuleCounters {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RuleSet {
-    rules: Vec<FilterRule>,
+    /// The rules and their lookup structures, shared between clones until
+    /// one of them edits (see the [module docs](self)).
+    index: Arc<RuleIndex>,
+    /// Per-rule telemetry, private to each clone: a slice recording hits
+    /// never touches another epoch's counters.
     counters: Vec<RuleCounters>,
+    /// Classifier rebuilds performed since construction (regression
+    /// telemetry: bulk churn through [`batch_edit`](RuleSet::batch_edit)
+    /// must coalesce to one).
+    rebuilds: u64,
+}
+
+/// The copy-on-write part of a [`RuleSet`], shared between clones.
+#[derive(Debug, Clone)]
+struct RuleIndex {
+    rules: Vec<FilterRule>,
     /// Tombstones: `removed[id]` is true once the rule was withdrawn.
     /// Slots are never compacted, so [`RuleId`]s stay stable across
     /// removals — rule telemetry and cluster slice mappings keep indexing
     /// by the same ids through arbitrary churn.
     removed: Vec<bool>,
     exact: FxHashMap<FiveTuple, RuleId>,
-    /// Authoritative coarse-rule store (rebuilds, memory model, and the
-    /// reference classifier); the hot path runs on `compiled`.
-    coarse: MultiBitTrie<Vec<RuleId>>,
-    /// Read-only compiled classifier, rebuilt on every mutation. Behind an
-    /// [`Arc`] so cloning a rule set (the epoch-publication path: one
-    /// prebuilt rule set cloned into every cluster slice) shares the
-    /// compiled table instead of deep-copying it — the publish ecall stays
-    /// O(rules) for the metadata vectors, not O(trie).
-    compiled: Arc<CompiledClassifier>,
-    /// Classifier rebuilds performed since construction (regression
-    /// telemetry: bulk churn through [`batch_edit`](RuleSet::batch_edit)
-    /// must coalesce to one).
-    rebuilds: u64,
+    /// Authoritative coarse-rule store: each source prefix's bucket of
+    /// live rule ids in insertion order. Compiles, patches, the memory
+    /// model and the reference classifier read it; the hot path runs on
+    /// `compiled`.
+    coarse: BTreeMap<Ipv4Prefix, Bucket>,
+    /// Live rule ids across all `coarse` buckets.
+    coarse_rules: usize,
+    compiled: CompiledClassifier,
+    footprint: Footprint,
+}
+
+/// One source prefix's live rule ids, in insertion order; never empty.
+///
+/// Nearly every bucket holds a single rule, which stays inline, so copying
+/// the index allocates nothing per prefix.
+#[derive(Debug, Clone)]
+pub(crate) enum Bucket {
+    One(RuleId),
+    Many(Vec<RuleId>),
+}
+
+impl Bucket {
+    fn push(&mut self, id: RuleId) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, id]),
+            Bucket::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Removes `id` (which must be in the bucket); returns false if that
+    /// leaves the bucket empty.
+    fn remove(&mut self, id: RuleId) -> bool {
+        let Bucket::Many(ids) = self else {
+            return false;
+        };
+        ids.retain(|&r| r != id);
+        if let [last] = ids[..] {
+            *self = Bucket::One(last);
+        }
+        true
+    }
+}
+
+impl std::ops::Deref for Bucket {
+    type Target = [RuleId];
+
+    fn deref(&self) -> &[RuleId] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+}
+
+impl AsRef<[RuleId]> for Bucket {
+    fn as_ref(&self) -> &[RuleId] {
+        self
+    }
 }
 
 impl Default for RuleSet {
@@ -86,19 +158,23 @@ impl Default for RuleSet {
 impl RuleSet {
     /// Creates an empty rule set.
     pub fn new() -> Self {
-        let coarse = MultiBitTrie::new(8);
+        let coarse = BTreeMap::new();
         RuleSet {
-            rules: Vec::new(),
+            index: Arc::new(RuleIndex {
+                rules: Vec::new(),
+                removed: Vec::new(),
+                exact: FxHashMap::default(),
+                compiled: CompiledClassifier::compile(&coarse, &[]),
+                coarse,
+                coarse_rules: 0,
+                footprint: Footprint::default(),
+            }),
             counters: Vec::new(),
-            removed: Vec::new(),
-            exact: FxHashMap::default(),
-            compiled: Arc::new(CompiledClassifier::compile(&coarse, &[])),
-            coarse,
             rebuilds: 0,
         }
     }
 
-    /// Builds a rule set from rules (batch: one trie rebuild).
+    /// Builds a rule set from rules (batch: one classifier build).
     pub fn from_rules<I: IntoIterator<Item = FilterRule>>(rules: I) -> Self {
         let mut rs = RuleSet::new();
         rs.insert_batch(rules);
@@ -108,12 +184,12 @@ impl RuleSet {
     /// Number of rule slots (installed rules including withdrawn
     /// tombstones — the valid [`RuleId`] range).
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.index.rules.len()
     }
 
     /// Number of rules currently in force (slots minus tombstones).
     pub fn active_len(&self) -> usize {
-        self.rules.len() - self.removed.iter().filter(|&&r| r).count()
+        self.index.rules.len() - self.index.removed.iter().filter(|&&r| r).count()
     }
 
     /// True if rule `id` was withdrawn.
@@ -122,12 +198,12 @@ impl RuleSet {
     ///
     /// Panics if `id` is out of range.
     pub fn is_removed(&self, id: RuleId) -> bool {
-        self.removed[id as usize]
+        self.index.removed[id as usize]
     }
 
     /// Classifier rebuilds performed since construction. Each `insert`,
     /// `remove`, `insert_batch`, and dirty [`batch_edit`] scope counts
-    /// one; reads never rebuild.
+    /// one, whether it patched or recompiled; reads never rebuild.
     ///
     /// [`batch_edit`]: RuleSet::batch_edit
     pub fn rebuilds(&self) -> u64 {
@@ -136,29 +212,28 @@ impl RuleSet {
 
     /// True if no rule slots exist.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.index.rules.is_empty()
     }
 
     /// The rules in insertion order.
     pub fn rules(&self) -> &[FilterRule] {
-        &self.rules
+        &self.index.rules
     }
 
     /// The rule with the given id.
     pub fn rule(&self, id: RuleId) -> &FilterRule {
-        &self.rules[id as usize]
+        &self.index.rules[id as usize]
     }
 
     /// Inserts one rule, returning its id.
     ///
-    /// Recompiles the hot-path classifier, which is linear in the number
-    /// of coarse rules — bulk loads should use
-    /// [`insert_batch`](RuleSet::insert_batch) (one recompile total), as
-    /// the enclave's batched rule update does.
+    /// Updates the hot-path classifier before returning: a patch for a
+    /// `/32` or exact rule, a recompile (linear in the number of coarse
+    /// rules) otherwise — bulk loads should use
+    /// [`insert_batch`](RuleSet::insert_batch) (one update total), as the
+    /// enclave's batched rule update does.
     pub fn insert(&mut self, rule: FilterRule) -> RuleId {
-        let id = self.insert_unindexed(rule);
-        self.recompile();
-        id
+        self.batch_edit(|edit| edit.insert(rule))
     }
 
     /// Withdraws rule `id`, returning whether it was in force.
@@ -166,59 +241,46 @@ impl RuleSet {
     /// The slot is tombstoned, never compacted: ids of the surviving rules
     /// are unchanged and the withdrawn rule's telemetry slot stays
     /// addressable (cluster slice mappings index by id). The exact table /
-    /// coarse trie entry is unlinked and the hot-path classifier
-    /// recompiled, so [`classify`](RuleSet::classify) and
+    /// prefix map entry is unlinked and the hot-path classifier updated,
+    /// so [`classify`](RuleSet::classify) and
     /// [`classify_reference`](RuleSet::classify_reference) both stop
     /// matching it atomically. Removing an already-withdrawn or
     /// out-of-range id is a no-op (no rebuild).
     ///
     /// Bulk withdrawals should go through
-    /// [`batch_edit`](RuleSet::batch_edit) (one recompile total).
+    /// [`batch_edit`](RuleSet::batch_edit) (one update total).
     pub fn remove(&mut self, id: RuleId) -> bool {
-        if self.remove_unindexed(id) {
-            self.recompile();
-            true
-        } else {
-            false
-        }
+        self.batch_edit(|edit| edit.remove(id))
     }
 
-    /// Inserts many rules with a single trie rebuild (the enclave's batched
-    /// rule update, Appendix F / Table II).
+    /// Inserts many rules with a single classifier update (the enclave's
+    /// batched rule update, Appendix F / Table II). Counts one rebuild even
+    /// when `rules` is empty.
     pub fn insert_batch<I: IntoIterator<Item = FilterRule>>(&mut self, rules: I) {
-        let mut coarse_batch: HashMap<Ipv4Prefix, Vec<RuleId>> = HashMap::new();
-        for rule in rules {
-            let id = self.rules.len() as RuleId;
-            if rule.pattern().is_exact() {
-                self.exact
-                    .insert(rule.pattern().as_tuple().expect("exact"), id);
-            } else {
-                let prefix = rule.pattern().src;
-                coarse_batch
-                    .entry(prefix)
-                    .or_insert_with(|| self.coarse.get(&prefix).cloned().unwrap_or_default())
-                    .push(id);
+        self.batch_edit(|edit| {
+            edit.dirty = true;
+            for rule in rules {
+                edit.insert(rule);
             }
-            self.rules.push(rule);
-            self.counters.push(RuleCounters::default());
-            self.removed.push(false);
-        }
-        if !coarse_batch.is_empty() {
-            self.coarse.batch_insert(coarse_batch);
-        }
-        self.recompile();
+        });
     }
 
-    /// Runs a bulk-churn scope with **one** classifier rebuild.
+    /// Runs a bulk-churn scope with **one** classifier update.
     ///
     /// Every [`insert`](RuleSetEdit::insert) / [`remove`](RuleSetEdit::remove)
     /// inside the scope mutates the authoritative structures immediately
-    /// but defers the compiled-classifier rebuild; the rebuild happens
-    /// exactly once when the scope ends (and not at all if the scope made
-    /// no effective change). This is the install-time analogue of the
-    /// Appendix F batched rule update for mixed install/withdraw churn —
-    /// a victim policy reacting to a round can apply its whole decision
-    /// set for the cost of one table swap.
+    /// but defers the compiled-classifier update; it happens exactly once
+    /// when the scope ends (and not at all if the scope made no effective
+    /// change). This is the install-time analogue of the Appendix F
+    /// batched rule update for mixed install/withdraw churn — a victim
+    /// policy reacting to a round can apply its whole decision set for the
+    /// cost of one table swap.
+    ///
+    /// The first effective edit copies the shared index (see the
+    /// [module docs](self)); clones taken before the scope keep
+    /// classifying the old epoch. The update at the end patches the
+    /// classifier if the scope touched only `/32` sources and exact rules,
+    /// and recompiles it otherwise.
     ///
     /// Note: `classify` must not be called *inside* the scope (the editor
     /// holds the only reference, so the borrow checker already prevents
@@ -227,103 +289,52 @@ impl RuleSet {
         let mut edit = RuleSetEdit {
             rs: self,
             dirty: false,
+            hosts: Vec::new(),
+            shorter: false,
         };
         let out = f(&mut edit);
-        let dirty = edit.dirty;
+        let RuleSetEdit {
+            dirty,
+            mut hosts,
+            shorter,
+            ..
+        } = edit;
         if dirty {
-            self.recompile();
+            let ix = Arc::make_mut(&mut self.index);
+            ix.footprint.refresh(&ix.coarse);
+            if shorter {
+                ix.recompile();
+            } else {
+                hosts.sort_unstable();
+                hosts.dedup();
+                ix.compiled.patch(&hosts, &ix.coarse, &ix.rules);
+                if ix.compiled.needs_compaction() {
+                    ix.recompile();
+                }
+            }
+            self.rebuilds += 1;
         }
         out
-    }
-
-    /// Rebuilds the compiled hot-path classifier from the authoritative
-    /// structures (the install-time table swap).
-    fn recompile(&mut self) {
-        self.compiled = Arc::new(CompiledClassifier::compile(&self.coarse, &self.rules));
-        self.rebuilds += 1;
-    }
-
-    /// Inserts into the authoritative structures without recompiling.
-    fn insert_unindexed(&mut self, rule: FilterRule) -> RuleId {
-        let id = self.rules.len() as RuleId;
-        self.index_rule(id, &rule);
-        self.rules.push(rule);
-        self.counters.push(RuleCounters::default());
-        self.removed.push(false);
-        id
-    }
-
-    /// Unlinks rule `id` from the authoritative structures without
-    /// recompiling; returns whether anything changed.
-    fn remove_unindexed(&mut self, id: RuleId) -> bool {
-        let idx = id as usize;
-        if idx >= self.rules.len() || self.removed[idx] {
-            return false;
-        }
-        self.removed[idx] = true;
-        let rule = self.rules[idx];
-        if rule.pattern().is_exact() {
-            let t = rule.pattern().as_tuple().expect("exact");
-            // Only unlink if the table still points at this rule — a later
-            // duplicate exact rule owns the entry otherwise. If this rule
-            // owned it, the youngest surviving duplicate (if any) takes
-            // over, matching what re-indexing from scratch would produce.
-            if self.exact.get(&t) == Some(&id) {
-                self.exact.remove(&t);
-                for (i, r) in self.rules.iter().enumerate().rev() {
-                    if i != idx
-                        && !self.removed[i]
-                        && r.pattern().is_exact()
-                        && r.pattern().as_tuple() == Some(t)
-                    {
-                        self.exact.insert(t, i as RuleId);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let prefix = rule.pattern().src;
-            if let Some(bucket) = self.coarse.get(&prefix) {
-                let mut bucket = bucket.clone();
-                bucket.retain(|&r| r != id);
-                if bucket.is_empty() {
-                    self.coarse.remove(&prefix);
-                } else {
-                    self.coarse.insert(prefix, bucket);
-                }
-            }
-        }
-        true
-    }
-
-    fn index_rule(&mut self, id: RuleId, rule: &FilterRule) {
-        if rule.pattern().is_exact() {
-            self.exact
-                .insert(rule.pattern().as_tuple().expect("exact"), id);
-        } else {
-            let prefix = rule.pattern().src;
-            let mut bucket = self.coarse.get(&prefix).cloned().unwrap_or_default();
-            bucket.push(id);
-            self.coarse.insert(prefix, bucket);
-        }
     }
 
     /// Classifies a five tuple, returning the matching rule id (see module
     /// docs for precedence).
     ///
     /// This is the per-packet hot path: one fast-hash probe of the
-    /// exact-match table, then the compiled stride walk — no heap
-    /// allocation, no SipHash, no ordered-map probes. Verdict-identical
-    /// to [`classify_reference`](RuleSet::classify_reference) (enforced
-    /// by the `compiled_classifier_matches_reference` property test).
+    /// exact-match table, then the compiled host probe and stride walk —
+    /// no heap allocation, no SipHash, no ordered-map probes.
+    /// Verdict-identical to [`classify_reference`](RuleSet::classify_reference)
+    /// (enforced by the `compiled_classifier_matches_reference` property
+    /// test).
     #[inline]
     pub fn classify(&self, t: &FiveTuple) -> Option<RuleId> {
-        if !self.exact.is_empty() {
-            if let Some(&id) = self.exact.get(t) {
+        let ix = &*self.index;
+        if !ix.exact.is_empty() {
+            if let Some(&id) = ix.exact.get(t) {
                 return Some(id);
             }
         }
-        self.compiled.classify_coarse(t)
+        ix.compiled.classify_coarse(t)
     }
 
     /// The install-time allow threshold (`p_allow · 2⁶⁴`) of rule `id` —
@@ -336,39 +347,27 @@ impl RuleSet {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn allow_threshold(&self, id: RuleId) -> u128 {
-        self.compiled.allow_threshold(id)
+        self.index.compiled.allow_threshold(id)
     }
 
-    /// The shared handle to the compiled hot-path classifier.
-    ///
-    /// Rule sets cloned from one another (and not mutated since) return
-    /// pointer-equal handles — the property the cluster's epoch publication
-    /// relies on: one rebuild, N slices sharing the same compiled table.
-    /// Any mutation replaces the handle wholesale (never edits in place),
-    /// so a reader holding a clone of the `Arc` observes a frozen epoch.
-    pub fn compiled_handle(&self) -> &Arc<CompiledClassifier> {
-        &self.compiled
-    }
-
-    /// The reference classifier: the exact-match probe followed by a
-    /// [`MultiBitTrie::lookup_path`] scan over the authoritative trie.
+    /// The reference classifier: the exact-match probe followed by one
+    /// prefix-map probe per source-prefix length, longest first.
     ///
     /// Kept as the oracle the compiled hot path is property-tested
-    /// against; allocates per call, so not for the data path.
+    /// against: it shares only the exact-match table with it, never the
+    /// compiled classifier. Not for the data path.
     pub fn classify_reference(&self, t: &FiveTuple) -> Option<RuleId> {
-        if let Some(&id) = self.exact.get(t) {
+        let ix = &*self.index;
+        if let Some(&id) = ix.exact.get(t) {
             return Some(id);
         }
-        // Longest-prefix first: take matches along the trie path in
-        // reverse (longest prefix last in `lookup_path`).
-        for hit in self.coarse.lookup_path(t.src_ip).into_iter().rev() {
-            for &id in hit.value {
-                if self.rules[id as usize].pattern().matches(t) {
-                    return Some(id);
-                }
-            }
-        }
-        None
+        (0..=32u8).rev().find_map(|len| {
+            ix.coarse
+                .get(&Ipv4Prefix::new(t.src_ip, len))?
+                .iter()
+                .copied()
+                .find(|&id| ix.rules[id as usize].pattern().matches(t))
+        })
     }
 
     /// Records telemetry for a packet that matched `id`.
@@ -390,53 +389,142 @@ impl RuleSet {
 
     /// Estimated enclave memory held by the rule structures, in bytes.
     ///
-    /// Includes the trie, the compiled classifier, the exact-match table,
-    /// the rule array, and the per-rule telemetry the redistribution
-    /// protocol needs. This is the working-set input to the cost model
-    /// (Fig. 3b's linearly growing footprint).
+    /// Models a stride-8 multi-bit trie with its prefix map, the compiled
+    /// covering-prefix trie and one compiled candidate per coarse rule,
+    /// the exact-match table, the rule array, and the per-rule telemetry
+    /// the redistribution protocol needs. This is the working-set input to
+    /// the cost model (Fig. 3b's linearly growing footprint). Exact and
+    /// O(1): the counts behind it are kept per edit (see
+    /// `crate::footprint`), not measured off the live structures.
     pub fn memory_bytes(&self) -> usize {
-        let exact_entry = std::mem::size_of::<FiveTuple>() + std::mem::size_of::<RuleId>() + 48;
-        let rule_entry = std::mem::size_of::<FilterRule>() + std::mem::size_of::<RuleCounters>();
-        self.coarse.memory_bytes()
-            + self.compiled.memory_bytes()
-            + self.exact.len() * exact_entry
-            + self.rules.len() * rule_entry
+        let ix = &*self.index;
+        ix.footprint.bytes(
+            ix.coarse.len(),
+            ix.coarse_rules,
+            ix.exact.len(),
+            ix.rules.len(),
+        )
     }
 
     /// Extracts the sub-ruleset with the given ids (rule redistribution:
     /// the master sends each slave its share, Fig. 5). Withdrawn ids are
     /// skipped — a tombstone never resurrects through redistribution.
     pub fn subset(&self, ids: &[RuleId]) -> RuleSet {
+        let ix = &*self.index;
         RuleSet::from_rules(
             ids.iter()
-                .filter(|&&id| !self.removed[id as usize])
-                .map(|&id| self.rules[id as usize]),
+                .filter(|&&id| !ix.removed[id as usize])
+                .map(|&id| ix.rules[id as usize]),
         )
+    }
+}
+
+impl RuleIndex {
+    /// Rebuilds the compiled classifier from the authoritative structures.
+    fn recompile(&mut self) {
+        self.compiled = CompiledClassifier::compile(&self.coarse, &self.rules);
+    }
+
+    /// Appends `rule` to the authoritative structures; returns its id and
+    /// the coarse prefix it was bucketed under, if any.
+    fn insert(&mut self, rule: FilterRule) -> (RuleId, Option<Ipv4Prefix>) {
+        let id = self.rules.len() as RuleId;
+        self.rules.push(rule);
+        self.removed.push(false);
+        if let Some(t) = rule.pattern().as_tuple() {
+            self.exact.insert(t, id);
+            return (id, None);
+        }
+        let prefix = rule.pattern().src;
+        match self.coarse.entry(prefix) {
+            Entry::Occupied(mut bucket) => bucket.get_mut().push(id),
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(id));
+                self.footprint.link(prefix);
+            }
+        }
+        self.coarse_rules += 1;
+        (id, Some(prefix))
+    }
+
+    /// Unlinks live rule `id` from the authoritative structures; returns
+    /// the coarse prefix it was bucketed under, if any.
+    fn remove(&mut self, id: RuleId) -> Option<Ipv4Prefix> {
+        let idx = id as usize;
+        self.removed[idx] = true;
+        let rule = self.rules[idx];
+        if let Some(t) = rule.pattern().as_tuple() {
+            // Only unlink if the table still points at this rule — a later
+            // duplicate exact rule owns the entry otherwise. If this rule
+            // owned it, the youngest surviving duplicate (if any) takes
+            // over, matching what re-indexing from scratch would produce.
+            if self.exact.get(&t) == Some(&id) {
+                self.exact.remove(&t);
+                let survivor = self
+                    .rules
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .find(|&(i, r)| !self.removed[i] && r.pattern().as_tuple() == Some(t));
+                if let Some((i, _)) = survivor {
+                    self.exact.insert(t, i as RuleId);
+                }
+            }
+            return None;
+        }
+        let prefix = rule.pattern().src;
+        let bucket = self.coarse.get_mut(&prefix).expect("live rule is bucketed");
+        self.coarse_rules -= 1;
+        if !bucket.remove(id) {
+            self.coarse.remove(&prefix);
+            self.footprint.unlink(prefix);
+        }
+        Some(prefix)
     }
 }
 
 /// Mutation scope handed out by [`RuleSet::batch_edit`]: inserts and
 /// removals apply immediately to the authoritative structures, while the
-/// compiled classifier rebuild is deferred to the end of the scope.
+/// compiled classifier update is deferred to the end of the scope.
 #[derive(Debug)]
 pub struct RuleSetEdit<'a> {
     rs: &'a mut RuleSet,
     dirty: bool,
+    /// `/32` source addresses whose buckets changed.
+    hosts: Vec<u32>,
+    /// True once a bucket of a shorter source prefix changed.
+    shorter: bool,
 }
 
 impl RuleSetEdit<'_> {
     /// Inserts one rule (no rebuild until the scope closes); returns its id.
     pub fn insert(&mut self, rule: FilterRule) -> RuleId {
         self.dirty = true;
-        self.rs.insert_unindexed(rule)
+        let (id, prefix) = Arc::make_mut(&mut self.rs.index).insert(rule);
+        self.rs.counters.push(RuleCounters::default());
+        self.touch(prefix);
+        id
     }
 
     /// Withdraws rule `id` (no rebuild until the scope closes); returns
     /// whether it was in force. See [`RuleSet::remove`].
     pub fn remove(&mut self, id: RuleId) -> bool {
-        let changed = self.rs.remove_unindexed(id);
-        self.dirty |= changed;
-        changed
+        let idx = id as usize;
+        if idx >= self.rs.len() || self.rs.is_removed(id) {
+            return false;
+        }
+        self.dirty = true;
+        let prefix = Arc::make_mut(&mut self.rs.index).remove(id);
+        self.touch(prefix);
+        true
+    }
+
+    fn touch(&mut self, prefix: Option<Ipv4Prefix>) {
+        match prefix {
+            Some(p) if p.len() == 32 => self.hosts.push(p.addr()),
+            Some(_) => self.shorter = true,
+            None => {}
+        }
     }
 
     /// Number of rule slots (grows as the scope inserts).
@@ -453,8 +541,11 @@ impl RuleSetEdit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::{CandSpan, CANDIDATE_BYTES, STRIDE};
     use crate::rules::{FlowPattern, PortRange, RuleAction, RuleDecision};
+    use proptest::prelude::*;
     use vif_dataplane::Protocol;
+    use vif_trie::{CompiledTrie, MultiBitTrie};
 
     fn tuple(src: [u8; 4], dst: [u8; 4], sp: u16, dp: u16, proto: Protocol) -> FiveTuple {
         FiveTuple::new(
@@ -806,5 +897,197 @@ mod tests {
             RuleDecision::Deterministic(_) => panic!("expected probabilistic"),
         }
         let _ = RuleAction::Drop;
+    }
+
+    fn host_rule(addr: u32) -> FilterRule {
+        FilterRule::drop(FlowPattern::prefixes(Ipv4Prefix::host(addr), victim()))
+    }
+
+    /// A mixed set with hosts, shorter prefixes and an exact rule, plus
+    /// probes that hit each of them.
+    fn mixed_set() -> (RuleSet, Vec<FiveTuple>) {
+        let exact_t = tuple([10, 0, 0, 7], [203, 0, 113, 5], 7, 80, Protocol::Tcp);
+        let rs = RuleSet::from_rules([
+            host_rule(0x0a00_0001),
+            host_rule(0x0a00_0002),
+            FilterRule::allow(FlowPattern::prefixes(
+                "10.0.0.0/24".parse().unwrap(),
+                victim(),
+            )),
+            FilterRule::drop(FlowPattern::exact_tuple(exact_t)),
+        ]);
+        let probes = (0..8u8)
+            .map(|i| tuple([10, 0, 0, i], [203, 0, 113, 5], 7, 80, Protocol::Tcp))
+            .chain([tuple([10, 0, 1, 1], [203, 0, 113, 5], 7, 80, Protocol::Tcp)])
+            .collect();
+        (rs, probes)
+    }
+
+    #[test]
+    fn clone_shares_the_index_until_edited() {
+        let (rs, _) = mixed_set();
+        let mut replica = rs.clone();
+        assert!(Arc::ptr_eq(&rs.index, &replica.index));
+        // Telemetry and no-op edits leave the index shared.
+        replica.record_hit(0, 64);
+        replica.reset_counters();
+        assert!(!replica.remove(99));
+        replica.batch_edit(|_| {});
+        assert!(Arc::ptr_eq(&rs.index, &replica.index));
+        replica.insert(host_rule(0x0a00_0003));
+        assert!(!Arc::ptr_eq(&rs.index, &replica.index));
+        assert_eq!(rs.len(), 4);
+        assert_eq!(replica.len(), 5);
+    }
+
+    #[test]
+    fn replica_hits_never_reach_the_original() {
+        let (mut rs, _) = mixed_set();
+        rs.record_hit(1, 100);
+        let mut replica = rs.clone();
+        replica.record_hit(0, 64);
+        replica.record_hit(1, 64);
+        assert_eq!(rs.counters()[0], RuleCounters::default());
+        assert_eq!(rs.counters()[1].bytes, 100);
+        assert_eq!(replica.counters()[1].bytes, 164);
+        rs.reset_counters();
+        assert_eq!(replica.counters()[0].packets, 1);
+    }
+
+    #[test]
+    fn editing_a_clone_never_changes_the_original() {
+        let (rs, probes) = mixed_set();
+        let verdicts: Vec<_> = probes.iter().map(|t| rs.classify(t)).collect();
+        let memory = rs.memory_bytes();
+        let mut replica = rs.clone();
+        // A host patch, a withdrawal, and a shorter-prefix recompile.
+        replica.batch_edit(|e| {
+            e.insert(host_rule(0x0a00_0005));
+            e.remove(0);
+        });
+        replica.batch_edit(|e| {
+            e.remove(2);
+            e.insert(FilterRule::drop(FlowPattern::prefixes(
+                "10.0.0.0/16".parse().unwrap(),
+                victim(),
+            )));
+        });
+        replica.remove(3);
+        for (t, want) in probes.iter().zip(&verdicts) {
+            assert_eq!(rs.classify(t), *want, "{t}");
+            assert_eq!(rs.classify_reference(t), *want, "{t}");
+        }
+        assert_ne!(
+            probes
+                .iter()
+                .map(|t| replica.classify(t))
+                .collect::<Vec<_>>(),
+            verdicts
+        );
+        assert_eq!(rs.memory_bytes(), memory);
+        assert_eq!(rs.active_len(), 4);
+    }
+
+    #[test]
+    fn host_churn_patches_and_compacts() {
+        let hosts: Vec<u32> = (1..=4).map(|i| 0x0a00_0000 + i).collect();
+        let mut rs = RuleSet::from_rules(hosts.iter().map(|&a| host_rule(a)));
+        let mut live: Vec<RuleId> = (0..4).collect();
+        for cycle in 0..40usize {
+            let slot = cycle % live.len();
+            let before = rs.rebuilds();
+            live[slot] = rs.batch_edit(|e| {
+                assert!(e.remove(live[slot]));
+                e.insert(host_rule(hosts[slot]))
+            });
+            assert_eq!(rs.rebuilds(), before + 1);
+            // Compaction keeps the dead candidates at most as many as the
+            // live ones.
+            let compiled = &rs.index.compiled;
+            assert!(!compiled.needs_compaction(), "cycle {cycle}");
+            assert!(
+                compiled.candidate_slots() <= 2 * live.len(),
+                "cycle {cycle}"
+            );
+            for (&a, &id) in hosts.iter().zip(&live) {
+                let t = FiveTuple::new(a, 0xcb00_7105, 1, 2, Protocol::Udp);
+                assert_eq!(rs.classify(&t), Some(id));
+                assert_eq!(rs.classify_reference(&t), Some(id));
+            }
+        }
+    }
+
+    /// The memory model as the rule set used to compute it, from scratch:
+    /// an expanded stride-8 trie over the prefix map plus a compiled trie
+    /// over every prefix, host prefixes included.
+    fn legacy_memory_bytes(rs: &RuleSet) -> usize {
+        let ix = &*rs.index;
+        let mut expanded = MultiBitTrie::new(STRIDE);
+        expanded.batch_insert(ix.coarse.iter().map(|(p, bucket)| (*p, bucket.to_vec())));
+        let compiled: CompiledTrie<CandSpan> =
+            CompiledTrie::from_entries(STRIDE, ix.coarse.keys().map(|p| (*p, (0, 0))));
+        let candidates: usize = ix.coarse.values().map(|bucket| bucket.len()).sum();
+        let exact_entry = std::mem::size_of::<FiveTuple>() + std::mem::size_of::<RuleId>() + 48;
+        let rule_entry = std::mem::size_of::<FilterRule>() + std::mem::size_of::<RuleCounters>();
+        expanded.memory_bytes()
+            + compiled.memory_bytes()
+            + candidates * CANDIDATE_BYTES
+            + ix.rules.len() * std::mem::size_of::<u128>()
+            + ix.exact.len() * exact_entry
+            + ix.rules.len() * rule_entry
+    }
+
+    /// Rules crowding a few stride windows: hosts, prefixes of every
+    /// length over the same addresses (so slot lists nest and share
+    /// nodes), and exact rules.
+    fn arb_churn_rule() -> impl Strategy<Value = FilterRule> {
+        (0u32..3, 0u32..24, 0u8..=32, 0u8..4).prop_map(|(net, host, len, kind)| {
+            let addr = 0x0a00_0000 | (net << 8) | (host * 11);
+            match kind {
+                0 => host_rule(addr),
+                1 => FilterRule::drop(FlowPattern::prefixes(Ipv4Prefix::new(addr, len), victim())),
+                2 => FilterRule::allow(FlowPattern::prefixes(
+                    Ipv4Prefix::new(addr, len / 2),
+                    victim(),
+                )),
+                _ => FilterRule::drop(FlowPattern::exact_tuple(FiveTuple::new(
+                    addr,
+                    0xcb00_7101,
+                    host as u16,
+                    80,
+                    Protocol::Tcp,
+                ))),
+            }
+        })
+    }
+
+    proptest! {
+        /// `memory_bytes` stays exactly the from-scratch model through
+        /// random install/withdraw scopes.
+        #[test]
+        fn memory_model_matches_from_scratch(
+            scopes in proptest::collection::vec(
+                proptest::collection::vec(
+                    (any::<bool>(), arb_churn_rule(), any::<proptest::sample::Index>()),
+                    1..8,
+                ),
+                1..20,
+            ),
+        ) {
+            let mut rs = RuleSet::new();
+            prop_assert_eq!(rs.memory_bytes(), legacy_memory_bytes(&rs));
+            for scope in &scopes {
+                rs.batch_edit(|e| {
+                    for (install, rule, pick) in scope {
+                        if *install || e.is_empty() {
+                            e.insert(*rule);
+                        } else {
+                            e.remove(pick.index(e.len()) as RuleId);
+                        }
+                    }
+                });
+                prop_assert_eq!(rs.memory_bytes(), legacy_memory_bytes(&rs));
+            }
+        }
     }
 }

@@ -815,15 +815,17 @@ impl EnclaveCluster {
             .collect();
         for (i, ids) in self.slices.iter().enumerate() {
             let subset = self.full_ruleset.subset(ids);
-            self.enclaves[i].ecall(|app| {
-                app.install_ruleset(subset.clone());
+            let retired = self.enclaves[i].ecall(|app| {
+                let retired = app.install_ruleset(subset.clone());
                 app.reset_rule_counters();
                 // A redistributed cluster is rule-partitioned: the LB must
                 // send each slice only matching flows, so strict scoping
                 // applies to every slice — including ones that started in
                 // an RSS-replicated cluster with scoping off.
                 app.set_strict_scope(true);
+                retired
             });
+            drop(retired);
         }
         self.lb = LoadBalancer::new(
             self.full_ruleset.len(),
@@ -882,16 +884,22 @@ impl EnclaveCluster {
     /// Publishes one rule epoch: drains the master's deferred-edit queue
     /// (accepted through the session's `*_deferred` calls or
     /// [`FilterEnclaveApp::queue_edits`]), applies the whole set with
-    /// **one** classifier rebuild *outside* any enclave lock, then swaps
+    /// **one** classifier update *outside* any enclave lock, then swaps
     /// the prebuilt rule set into every slice with a brief install ECall.
     ///
-    /// This is the churn path of the always-on dataplane: the expensive
-    /// work (trie/classifier recompile, linear in the rule count) happens
-    /// on the publisher's thread while workers keep deciding packets
-    /// against the old epoch; each slice's swap is an O(1)-ish pointer
-    /// publication because every [`RuleSet`] clone shares the compiled
-    /// classifier behind an `Arc`
-    /// ([`RuleSet::compiled_handle`](crate::ruleset::RuleSet::compiled_handle)).
+    /// This is the churn path of the always-on dataplane. What runs under
+    /// an enclave lock is O(1) in the rule count apart from the per-rule
+    /// counters: the snapshot ECall clones the master's [`RuleSet`] (a
+    /// reference bump on its shared index plus a counter copy), and each
+    /// slice's install ECall is a pointer swap plus a counter reset. The
+    /// rest runs on the publisher's thread while workers keep deciding
+    /// packets against the old epoch: the edit scope copies the index once
+    /// and patches the classifier for host-rule churn (recompiling only
+    /// for shorter-prefix edits), and each slice's replica is another
+    /// reference bump. Each install ECall hands back the slice's retired
+    /// filter, which the publisher drops after the ECall has released the
+    /// lock; the old index itself is freed by whichever holder lets go
+    /// last, also off-lock.
     /// Observable rule semantics match an immediate-churn + replicated
     /// [`redistribute`](EnclaveCluster::redistribute) round: edits apply
     /// in queue order (installs take the next slot ids), every slice ends
@@ -909,11 +917,11 @@ impl EnclaveCluster {
         assert!(master < self.enclaves.len(), "master index out of range");
         assert!(self.replicated, "epoch publication is replicated-only");
         assert!(!self.quarantined[master], "master slice is quarantined");
-        // Step 1 — brief ECall: snapshot the master's live rule set (the
-        // compiled classifier rides along as a shared Arc) and drain the
-        // pending queue.
+        // Step 1 — brief ECall: snapshot the master's live rule set (a
+        // reference bump on its shared index) and drain the pending queue.
         let (mut rs, edits) = self.enclaves[master].ecall(|app| app.take_publish_snapshot());
-        // Step 2 — off the lock: apply every edit with one rebuild.
+        // Step 2 — off the lock: apply every edit with one classifier
+        // update; the first edit copies the shared index.
         let mut withdrawals = 0usize;
         let mut new_rule_ids = Vec::new();
         rs.batch_edit(|edit| {
@@ -1033,8 +1041,10 @@ impl EnclaveCluster {
             loop {
                 let replica = rs.clone();
                 let idv = ids.to_vec();
-                self.enclaves[i]
+                let retired = self.enclaves[i]
                     .ecall(move |app| app.install_published_for(contract, replica, &idv));
+                // The old epoch is torn down here, with the lock released.
+                drop(retired);
                 let dropped = match self.publish_ack_loss.as_mut() {
                     Some(hook) => hook(i, attempt),
                     None => false,
@@ -1145,10 +1155,12 @@ impl EnclaveCluster {
                 enclave.ecall(|app| app.reset_rule_counters());
             } else {
                 let replica = master_rules.clone();
-                enclave.ecall(move |app| {
-                    app.install_ruleset(replica);
+                let retired = enclave.ecall(move |app| {
+                    let retired = app.install_ruleset(replica);
                     app.reset_rule_counters();
+                    retired
                 });
+                drop(retired);
             }
         }
         let all_ids: Vec<RuleId> = (0..master_rules.len() as RuleId).collect();

@@ -126,6 +126,135 @@ fn arb_mixed_workload() -> impl Strategy<Value = (Vec<FilterRule>, Vec<FiveTuple
         })
 }
 
+/// The small pool of `/32` sources churn rules crowd onto (one `/24`, so
+/// host rules and shorter prefixes share stride windows).
+const HOST_POOL: [u32; 6] = [
+    0x0a01_0203,
+    0x0a01_0228,
+    0x0a01_024d,
+    0x0a01_0272,
+    0x0a01_0297,
+    0x0a01_02bc,
+];
+
+/// A churn rule: a host rule on the pool (with port/protocol constraints,
+/// so duplicate sources disagree and insertion order decides), a shorter
+/// prefix over the pool, or an exact rule from the pool.
+fn arb_churn_rule() -> impl Strategy<Value = FilterRule> {
+    (
+        0usize..HOST_POOL.len(),
+        0u8..4,
+        0u8..32,
+        0u16..4,
+        0u8..=2,
+        0.0f64..=1.0,
+    )
+        .prop_map(|(host, kind, len, port, action, frac)| {
+            let addr = HOST_POOL[host];
+            let pat = match kind {
+                0 => FlowPattern::prefixes(Ipv4Prefix::host(addr), Ipv4Prefix::default_route()),
+                1 => FlowPattern::prefixes(Ipv4Prefix::host(addr), Ipv4Prefix::default_route())
+                    .with_dst_port(vif_core::rules::PortRange::new(80, 80 + port))
+                    .with_protocol(if port % 2 == 0 {
+                        Protocol::Tcp
+                    } else {
+                        Protocol::Udp
+                    }),
+                2 => FlowPattern::prefixes(Ipv4Prefix::new(addr, len), Ipv4Prefix::default_route()),
+                _ => FlowPattern::exact_tuple(FiveTuple::new(
+                    addr,
+                    7,
+                    1000,
+                    80 + port,
+                    Protocol::Tcp,
+                )),
+            };
+            rule_of_kind(pat, action, frac)
+        })
+}
+
+/// One edit of a churn scope. Indices pick among the rules live when the
+/// edit runs.
+#[derive(Debug, Clone)]
+enum ChurnOp {
+    Install(FilterRule),
+    Withdraw(proptest::sample::Index),
+    /// Withdraw a live rule and install the same rule again, in one scope.
+    Reinstall(proptest::sample::Index),
+}
+
+fn arb_churn_op() -> impl Strategy<Value = ChurnOp> {
+    (0u8..7, arb_churn_rule(), any::<proptest::sample::Index>()).prop_map(|(kind, rule, pick)| {
+        match kind {
+            0..=2 => ChurnOp::Install(rule),
+            3 | 4 => ChurnOp::Withdraw(pick),
+            _ => ChurnOp::Reinstall(pick),
+        }
+    })
+}
+
+fn live_ids(rs: &RuleSet) -> Vec<RuleId> {
+    (0..rs.len() as RuleId)
+        .filter(|&id| !rs.is_removed(id))
+        .collect()
+}
+
+/// Runs one churn scope; returns whether it changed the rule set.
+fn apply_scope(rs: &mut RuleSet, ops: &[ChurnOp]) -> bool {
+    let mut live = live_ids(rs);
+    let mut rules = rs.rules().to_vec();
+    rs.batch_edit(|e| {
+        let mut changed = false;
+        for op in ops {
+            match op {
+                ChurnOp::Install(rule) => {
+                    live.push(e.insert(*rule));
+                    rules.push(*rule);
+                    changed = true;
+                }
+                ChurnOp::Withdraw(pick) | ChurnOp::Reinstall(pick) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let id = live.remove(pick.index(live.len()));
+                    changed |= e.remove(id);
+                    if matches!(op, ChurnOp::Reinstall(_)) {
+                        let rule = rules[id as usize];
+                        live.push(e.insert(rule));
+                        rules.push(rule);
+                    }
+                }
+            }
+        }
+        changed
+    })
+}
+
+/// The rule set under churn agrees, on every probe, with its own reference
+/// classifier and with a rule set built from scratch over its live slots.
+fn check_against_scratch(rs: &RuleSet, probes: &[FiveTuple]) {
+    let live = live_ids(rs);
+    let fresh = RuleSet::from_rules(live.iter().map(|&id| *rs.rule(id)));
+    for t in probes {
+        let got = rs.classify(t);
+        prop_assert_eq!(
+            got,
+            rs.classify_reference(t),
+            "reference diverged for {}",
+            t
+        );
+        prop_assert_eq!(
+            got,
+            fresh.classify(t).map(|i| live[i as usize]),
+            "from-scratch diverged for {}",
+            t
+        );
+    }
+    for (i, &id) in live.iter().enumerate() {
+        prop_assert_eq!(rs.allow_threshold(id), fresh.allow_threshold(i as RuleId));
+    }
+}
+
 proptest! {
     /// Rule wire encoding round-trips for arbitrary rules.
     #[test]
@@ -267,10 +396,16 @@ proptest! {
     }
 
     /// Incremental insertion compiles to the same classifier as one batch
-    /// build (the two mutation paths share the compiled-swap contract).
+    /// build, and so does every later churn scope, whether it patched the
+    /// classifier (host and exact rules only) or recompiled it: random
+    /// interleaved `batch_edit` scopes, duplicate `/32` sources,
+    /// withdraw-then-reinstall inside one scope, and enough host churn at
+    /// the end to force compactions. Each dirty scope counts one rebuild.
     #[test]
     fn compiled_classifier_incremental_equals_batch(
-        (rules, probes) in arb_mixed_workload(),
+        (rules, mut probes) in arb_mixed_workload(),
+        scopes in vec(vec(arb_churn_op(), 0..6), 1..12),
+        ports in vec((0u16..6, any::<bool>()), 1..4),
     ) {
         let batch = RuleSet::from_rules(rules.clone());
         let mut inc = RuleSet::new();
@@ -279,6 +414,46 @@ proptest! {
         }
         for t in &probes {
             prop_assert_eq!(batch.classify(t), inc.classify(t), "probe {}", t);
+        }
+
+        for &addr in &HOST_POOL {
+            for &(port, tcp) in &ports {
+                let proto = if tcp { Protocol::Tcp } else { Protocol::Udp };
+                probes.push(FiveTuple::new(addr, 7, 1000, 80 + port, proto));
+            }
+        }
+        let mut rs = inc;
+        for ops in &scopes {
+            let before = rs.rebuilds();
+            let changed = apply_scope(&mut rs, ops);
+            prop_assert_eq!(rs.rebuilds() - before, u64::from(changed));
+            check_against_scratch(&rs, &probes);
+        }
+
+        // Host churn: each cycle replaces one live host rule's bucket,
+        // leaving its old span dead, so the dead candidates outgrow the
+        // live ones (and the rule set compacts) several times over.
+        rs.insert(FilterRule::drop(FlowPattern::prefixes(
+            Ipv4Prefix::host(HOST_POOL[0]),
+            Ipv4Prefix::default_route(),
+        )));
+        for cycle in 0..2 * rs.active_len() + 2 {
+            let hosts: Vec<RuleId> = live_ids(&rs)
+                .into_iter()
+                .filter(|&id| {
+                    let p = rs.rule(id).pattern();
+                    p.src.len() == 32 && !p.is_exact()
+                })
+                .collect();
+            let id = hosts[cycle % hosts.len()];
+            let rule = *rs.rule(id);
+            let before = rs.rebuilds();
+            rs.batch_edit(|e| {
+                e.remove(id);
+                e.insert(rule);
+            });
+            prop_assert_eq!(rs.rebuilds() - before, 1);
+            check_against_scratch(&rs, &probes);
         }
     }
 

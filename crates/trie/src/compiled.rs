@@ -200,11 +200,31 @@ impl<T: Clone> CompiledTrie<T> {
 
     /// Estimated memory footprint of the compiled arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.children.len() * std::mem::size_of::<u32>()
-            + self.slots.len() * std::mem::size_of::<u32>()
-            + self.lists.len() * std::mem::size_of::<(u32, u32)>()
-            + self.path_data.len() * std::mem::size_of::<(u8, u32)>()
-            + self.values.len() * std::mem::size_of::<T>()
+        Self::footprint(
+            self.stride,
+            self.children.len() / self.fanout,
+            self.lists.len(),
+            self.path_data.len(),
+            self.values.len(),
+        )
+    }
+
+    /// The [`memory_bytes`](CompiledTrie::memory_bytes) formula for a
+    /// compiled trie of `nodes` nodes, `lists` deduplicated slot lists
+    /// holding `path_entries` entries in total, and `values` values — for
+    /// callers that track those counts without compiling the trie.
+    pub fn footprint(
+        stride: u8,
+        nodes: usize,
+        lists: usize,
+        path_entries: usize,
+        values: usize,
+    ) -> usize {
+        let fanout = 1usize << stride;
+        2 * nodes * fanout * std::mem::size_of::<u32>()
+            + lists * std::mem::size_of::<(u32, u32)>()
+            + path_entries * std::mem::size_of::<(u8, u32)>()
+            + values * std::mem::size_of::<T>()
     }
 
     /// Walks the trie for `ip`, returning an allocation-free iterator over

@@ -104,13 +104,20 @@ impl<T: Clone> MultiBitTrie<T> {
     /// map. This is the quantity that grows linearly with the number of
     /// rules in the paper's Fig. 3b and is compared against the EPC limit.
     pub fn memory_bytes(&self) -> usize {
-        let fanout = 1usize << self.stride;
+        Self::footprint(self.stride, self.node_count, self.rules.len())
+    }
+
+    /// The [`memory_bytes`](MultiBitTrie::memory_bytes) formula for a trie
+    /// of `nodes` expanded nodes holding `prefixes` prefixes, for callers
+    /// that track those counts without building the trie.
+    pub fn footprint(stride: u8, nodes: usize, prefixes: usize) -> usize {
+        let fanout = 1usize << stride;
         let per_node = fanout
             * (std::mem::size_of::<Option<(u8, T)>>()
                 + std::mem::size_of::<Option<Box<Node<T>>>>())
             + std::mem::size_of::<Node<T>>();
         let map_entry = std::mem::size_of::<(Ipv4Prefix, T)>() + 32; // BTree overhead
-        self.node_count * per_node + self.rules.len() * map_entry
+        nodes * per_node + prefixes * map_entry
     }
 
     /// Inserts a prefix, returning the previously stored value if any.
