@@ -20,6 +20,7 @@ use crate::enclave_app::{ContractId, FilterEnclaveApp, RuleEdit};
 use crate::retry::RetryPolicy;
 use crate::rules::RuleAction;
 use crate::ruleset::{RuleId, RuleSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vif_dataplane::FiveTuple;
 use vif_optimizer::{
@@ -879,6 +880,25 @@ impl EnclaveCluster {
             }
         }
         bytes_per_rule
+    }
+
+    /// Measured bytes per owned, in-force rule of `contract`, summed over
+    /// every live slice ([`FilterEnclaveApp::contract_rule_bytes`] per
+    /// slice, added up by rule id). RSS steering spreads a rule's flows
+    /// over all slices, so the master's counters alone can read zero for
+    /// a rule that matches traffic elsewhere; this is the cluster-wide
+    /// `B_i` view a victim's idle-rule feedback needs.
+    pub fn contract_rule_bytes(&self, contract: ContractId) -> BTreeMap<RuleId, u64> {
+        let mut bytes: BTreeMap<RuleId, u64> = BTreeMap::new();
+        for (i, enclave) in self.enclaves.iter().enumerate() {
+            if self.quarantined[i] {
+                continue;
+            }
+            for (id, b) in enclave.ecall(move |app| app.contract_rule_bytes(contract)) {
+                *bytes.entry(id).or_insert(0) += b;
+            }
+        }
+        bytes
     }
 
     /// Publishes one rule epoch: drains the master's deferred-edit queue

@@ -924,12 +924,9 @@ fn step_tenant(
     }
 
     // Per-contract rule telemetry: matched bytes of the tenant's own
-    // rules on the master, diffed against the last round's snapshot.
-    let contract = t.contract;
-    let cur_rule_bytes: BTreeMap<RuleId, u64> = cluster.enclaves()[0]
-        .ecall(move |app| app.contract_rule_bytes(contract))
-        .into_iter()
-        .collect();
+    // rules across the live slices, diffed against the last round's
+    // snapshot.
+    let cur_rule_bytes = cluster.contract_rule_bytes(t.contract);
     for rule in &mut t.installed {
         let cur = cur_rule_bytes.get(&rule.id).copied().unwrap_or(0);
         let prev = t.prev_rule_bytes.get(&rule.id).copied().unwrap_or(0);
@@ -1006,7 +1003,7 @@ fn step_tenant(
                 rounds_idle: 0,
             });
         }
-        // Publication resets every rule's byte counters on the master.
+        // Publication resets every rule's byte counters on every slice.
         t.prev_rule_bytes = BTreeMap::new();
     } else {
         t.prev_rule_bytes = cur_rule_bytes;

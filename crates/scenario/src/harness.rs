@@ -31,7 +31,7 @@
 use crate::policy::{HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, VictimPolicy};
 use crate::report::{PhaseReport, ScenarioReport};
 use crate::timeline::Scenario;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vif_core::cost::FilterMode;
@@ -277,7 +277,7 @@ impl ScenarioHarness {
         let mut hh_sketch = CountMinSketch::new(SketchConfig::small(seed ^ 0x6ea7));
         let mut candidates: BTreeSet<u32> = BTreeSet::new();
         let mut installed: Vec<InstalledRule> = Vec::new();
-        let mut prev_rule_bytes: Vec<u64> = Vec::new();
+        let mut prev_rule_bytes: BTreeMap<RuleId, u64> = BTreeMap::new();
 
         // --- report accumulators ----------------------------------------
         let mut phases: Vec<PhaseReport> = scenario
@@ -622,11 +622,10 @@ impl ScenarioHarness {
 
                     // Enclave rule telemetry (the B_i exchange): aggregate matched
                     // bytes across the replicas, diff against the last snapshot.
-                    let cur_rule_bytes = cluster.replicated_rule_bytes();
+                    let cur_rule_bytes = cluster.contract_rule_bytes(0);
                     for rule in &mut installed {
-                        let idx = rule.id as usize;
-                        let cur = cur_rule_bytes.get(idx).copied().unwrap_or(0);
-                        let prev = prev_rule_bytes.get(idx).copied().unwrap_or(0);
+                        let cur = cur_rule_bytes.get(&rule.id).copied().unwrap_or(0);
+                        let prev = prev_rule_bytes.get(&rule.id).copied().unwrap_or(0);
                         if cur == prev {
                             rule.rounds_idle += 1;
                         } else {
@@ -715,7 +714,7 @@ impl ScenarioHarness {
                         // replicated redistribute): rebuild off-path, swap per
                         // slice, reset telemetry.
                         cluster.publish(0);
-                        prev_rule_bytes = vec![0; cluster.ruleset().len()];
+                        prev_rule_bytes = BTreeMap::new();
                     } else {
                         prev_rule_bytes = cur_rule_bytes;
                     }

@@ -2,9 +2,12 @@
 //! victim B rides a flash crowd on the same live service, plus an
 //! over-budget third contract the arbiter must turn away.
 
+use std::sync::{Arc, Mutex};
+use vif_core::rules::{FilterRule, FlowPattern};
+use vif_dataplane::shard_of;
 use vif_scenario::{
     CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, LegitProfile, Phase,
-    PhaseKind, Scenario, ThresholdPolicy, VictimPolicy,
+    PhaseKind, PolicyAction, PolicyObservation, Scenario, ThresholdPolicy, VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -148,4 +151,69 @@ fn campaign_is_deterministic() {
     let b = run_campaign(77);
     assert_eq!(a.reports, b.reports);
     assert_eq!(a.rejected.len(), b.rejected.len());
+}
+
+/// Installs one drop rule for `src` after round 0, then records the rule's
+/// idle telemetry at every later round.
+struct IdleRecorder {
+    src: u32,
+    seen: Arc<Mutex<Vec<(u64, u32)>>>,
+}
+
+impl VictimPolicy for IdleRecorder {
+    fn react(&mut self, obs: &PolicyObservation<'_>, actions: &mut Vec<PolicyAction>) {
+        if obs.round == 0 {
+            actions.push(PolicyAction::Install(FilterRule::drop(FlowPattern::prefixes(
+                Ipv4Prefix::host(self.src),
+                obs.victim,
+            ))));
+        }
+        for rule in obs.installed {
+            self.seen.lock().unwrap().push((obs.round, rule.rounds_idle));
+        }
+    }
+}
+
+/// Rule idleness is measured across every live slice: a rule whose flows
+/// RSS-steer only to a non-master slice still matches traffic there, so
+/// its idle counter must stay at zero while it does.
+#[test]
+fn idle_telemetry_counts_traffic_on_every_slice() {
+    let workers = CampaignConfig::default().harness.workers;
+    let scenario = scenario_b(31);
+    let rounds = scenario.compile();
+    // A legitimate source with a single flow that never steers to the
+    // master slice 0, sending in every round.
+    let src = rounds[0]
+        .packets
+        .iter()
+        .map(|p| p.tuple.src_ip)
+        .find(|&src| {
+            rounds.iter().all(|r| {
+                let mut own = r.packets.iter().filter(|p| p.tuple.src_ip == src);
+                let any = own.clone().next().is_some();
+                any && own.all(|p| shard_of(&p.tuple, workers) != 0)
+            })
+        })
+        .expect("a source steered off the master in every round");
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let report = CampaignHarness::new(
+        vec![CampaignContract {
+            contract: 1,
+            scenario,
+            demand_gbps_per_rule: vec![0.25; 4],
+        }],
+        CampaignConfig::default(),
+    )
+    .run(vec![Box::new(IdleRecorder {
+        src,
+        seen: Arc::clone(&seen),
+    })]);
+    assert_eq!(report.reports[0].rules_installed, 1);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len() as u64, rounds.len() as u64 - 1, "{seen:?}");
+    assert!(
+        seen.iter().all(|&(_, idle)| idle == 0),
+        "a rule matching traffic on a non-master slice read as idle: {seen:?}"
+    );
 }
