@@ -28,29 +28,21 @@
 //!    (goodput, leakage, collateral, churn), collected in a
 //!    [`CampaignReport`] together with the admission verdicts.
 
-use crate::harness::{attribute_slice, ScenarioHarnessConfig};
-use crate::policy::{HeavyHitter, InstalledRule, PolicyAction, PolicyObservation, VictimPolicy};
-use crate::report::{PhaseReport, ScenarioReport};
-use crate::timeline::{RoundTraffic, Scenario};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use vif_core::cost::FilterMode;
-use vif_core::enclave_app::{ContractId, EnclaveFilterStage, FilterEnclaveApp};
-use vif_core::logs::PacketFingerprints;
-use vif_core::rounds::{ClusterRoundDriver, ContractState, ExportFailurePolicy, RoundPolicy};
+use crate::harness::ScenarioHarnessConfig;
+use crate::policy::VictimPolicy;
+use crate::report::ScenarioReport;
+use crate::round_loop::{derive32, run_rounds, Deployment};
+use crate::timeline::Scenario;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use vif_core::enclave_app::{ContractId, FilterEnclaveApp};
 use vif_core::rpki::RpkiRegistry;
-use vif_core::rules::FilterRule;
-use vif_core::ruleset::RuleId;
 use vif_core::scale::EnclaveCluster;
-use vif_core::session::{FilteringSession, SessionConfig, VictimClient};
-use vif_dataplane::{
-    shard_of, shard_of_fingerprint, ContractMap, DataplaneService, DegradedMode, FaultKind,
-    FaultPlan, FiveTuple, Packet, ServiceConfig,
-};
+use vif_core::session::{SessionConfig, VictimClient};
+use vif_dataplane::{ContractMap, DegradedMode, FaultPlan};
 use vif_optimizer::{arbitrate, AdmissionVerdict, ArbiterConfig, ContractDemand};
 use vif_sgx::{AttestationRootKey, AttestationService, EnclaveImage, EpcConfig, SgxPlatform};
-use vif_sketch::{CountMinSketch, SketchConfig};
-use vif_telemetry::{fault, EventKind, TelemetryHub};
+use vif_telemetry::{EventKind, TelemetryHub};
 
 /// One tenant's entry in a campaign: who it is, what traffic it will see,
 /// and what filtering capacity it asks the arbiter for.
@@ -115,33 +107,6 @@ impl CampaignReport {
     pub fn report(&self, contract: ContractId) -> Option<&ScenarioReport> {
         self.reports.iter().find(|r| r.contract == contract)
     }
-}
-
-/// Per-contract live state inside the campaign round loop.
-struct Tenant {
-    contract: ContractId,
-    scenario: Scenario,
-    rounds: Vec<RoundTraffic>,
-    session: FilteringSession,
-    /// Kept past admission: every slice rejoin re-attests a *fresh*
-    /// session per tenant against the relaunched enclave.
-    client: VictimClient,
-    driver: ClusterRoundDriver,
-    rpki: RpkiRegistry,
-    hh_sketch: CountMinSketch,
-    installed: Vec<InstalledRule>,
-    prev_rule_bytes: BTreeMap<RuleId, u64>,
-    phases: Vec<PhaseReport>,
-    dirty_rounds: u32,
-    rounds_run: u64,
-    total_installed: u32,
-    total_withdrawn: u32,
-    /// Buffered forwarded tuples for the current round (split by dst).
-    received: Vec<FiveTuple>,
-    /// First round any of this contract's traffic went uncovered.
-    outage_start: Option<u64>,
-    /// First post-outage round with zero uncovered traffic.
-    recovered_at: Option<u64>,
 }
 
 /// Drives several victims' scenarios concurrently over one live cluster,
@@ -244,10 +209,6 @@ impl CampaignHarness {
             "one policy per declared contract"
         );
         let config = self.config;
-        let faults = self.faults.clone();
-        let degraded = self.degraded.clone();
-        let stale_rejoin = self.stale_rejoin;
-        let telemetry = self.telemetry.clone();
         let n = config.harness.workers;
         let seed = self.contracts[0].scenario.seed;
 
@@ -266,7 +227,7 @@ impl CampaignHarness {
         for (c, policy) in self.contracts.into_iter().zip(policies.drain(..)) {
             match arbitration.verdict(c.contract) {
                 Some(AdmissionVerdict::Rejected { reason }) => {
-                    if let Some(hub) = &telemetry {
+                    if let Some(hub) = &self.telemetry {
                         hub.record_event(EventKind::ContractReject, 0, c.contract as u64, 0);
                     }
                     rejected.push(RejectedContract {
@@ -275,7 +236,7 @@ impl CampaignHarness {
                     });
                 }
                 _ => {
-                    if let Some(hub) = &telemetry {
+                    if let Some(hub) = &self.telemetry {
                         hub.record_event(EventKind::ContractAdmit, 0, c.contract as u64, 0);
                     }
                     admitted.push((c, policy));
@@ -297,7 +258,6 @@ impl CampaignHarness {
         let platform = SgxPlatform::new(seed ^ 0xca3a, EpcConfig::paper_default(), &root);
         let image = EnclaveImage::new("vif-campaign", 1, vec![0x90; 1 << 16]);
         let master = Arc::new(platform.launch(image.clone(), FilterEnclaveApp::fresh(secret)));
-        let ias = AttestationService::new(root);
 
         // The cluster's default slot 0 gets throwaway keys — campaign
         // tenants each provision their own slot below.
@@ -311,21 +271,33 @@ impl CampaignHarness {
             seed ^ 0x0de0,
             derive32(seed, 0x13),
         );
-        if let Some(hub) = &telemetry {
+        if let Some(hub) = &self.telemetry {
             cluster.set_telemetry(Arc::clone(hub));
         }
+        let mut contract_map = ContractMap::new();
+        for &(contract, mode) in &self.degraded {
+            contract_map.set_degraded_mode(contract, mode);
+        }
+        let mut deployment = Deployment {
+            cluster,
+            ias: AttestationService::new(root),
+            config,
+            faults: self.faults,
+            contracts: contract_map,
+            stale_rejoin: self.stale_rejoin,
+            telemetry: self.telemetry,
+        };
 
         // --- per-contract attested sessions + audit drivers -------------
-        let mut tenants: Vec<Tenant> = Vec::with_capacity(admitted.len());
-        let mut contract_map = ContractMap::new();
-        let mut policies: Vec<Box<dyn VictimPolicy>> = Vec::with_capacity(admitted.len());
+        let mut tenants = Vec::with_capacity(admitted.len());
+        let mut policies = Vec::with_capacity(admitted.len());
         for (idx, (c, policy)) in admitted.into_iter().enumerate() {
             let tag = 0x20 + idx as u8;
             let owner = derive32(c.scenario.seed, tag);
             let client = VictimClient::new(
                 owner,
                 &derive32(c.scenario.seed, tag ^ 0x55),
-                ias.verifier(),
+                deployment.ias.verifier(),
                 SessionConfig {
                     expected_measurement: image.measurement(),
                     tolerance: config.harness.tolerance,
@@ -336,7 +308,7 @@ impl CampaignHarness {
             let session = client
                 .establish_contract(
                     Arc::clone(&master),
-                    &ias,
+                    &deployment.ias,
                     derive32(c.scenario.seed, tag ^ 0xaa),
                     c.contract,
                 )
@@ -344,681 +316,35 @@ impl CampaignHarness {
             let keys = session.keys().clone();
             // Land the contract's scope + keys on every slice (the
             // handshake itself only touched the master).
-            cluster.provision_contract(
+            deployment.cluster.provision_contract(
                 c.contract,
                 Some(c.scenario.victim),
                 keys.sketch_seed,
                 keys.audit_key,
             );
-            contract_map.assign(
+            deployment.contracts.assign(
                 c.scenario.victim.addr(),
                 c.scenario.victim.len(),
                 c.contract,
             );
-            let mut driver = ClusterRoundDriver::new(
-                cluster.enclaves().to_vec(),
-                keys.sketch_seed,
-                keys.audit_key,
-                config.harness.tolerance,
-                RoundPolicy {
-                    round_duration_ns: c.scenario.round_ns(),
-                    max_strikes: config.harness.max_strikes,
-                    export_failure: if faults.is_empty() {
-                        ExportFailurePolicy::AbortContract
-                    } else {
-                        ExportFailurePolicy::QuarantineSlice
-                    },
-                    ..Default::default()
-                },
-            )
-            .with_contract(c.contract);
-            if let Some(hub) = &telemetry {
-                driver.set_telemetry(Arc::clone(hub));
-            }
-            let rounds = c.scenario.compile();
-            let phases = c
-                .scenario
-                .phases
-                .iter()
-                .map(|p| PhaseReport {
-                    name: p.name.clone(),
-                    rounds: 0,
-                    offered_legit: 0,
-                    offered_attack: 0,
-                    delivered_legit: 0,
-                    delivered_attack: 0,
-                    rules_installed: 0,
-                    rules_withdrawn: 0,
-                    dirty_rounds: 0,
-                    uncovered: 0,
-                })
-                .collect();
-            tenants.push(Tenant {
-                contract: c.contract,
-                hh_sketch: CountMinSketch::new(SketchConfig::small(
-                    c.scenario.seed ^ 0x6ea7 ^ c.contract as u64,
-                )),
-                scenario: c.scenario,
-                rounds,
-                session,
-                client,
-                driver,
-                rpki,
-                installed: Vec::new(),
-                prev_rule_bytes: BTreeMap::new(),
-                phases,
-                dirty_rounds: 0,
-                rounds_run: 0,
-                total_installed: 0,
-                total_withdrawn: 0,
-                received: Vec::new(),
-                outage_start: None,
-                recovered_at: None,
-            });
+            let rejoin_tag = 0x60 ^ ((idx as u8) << 3);
+            tenants.push(deployment.tenant(c.scenario, session, client, rpki, rejoin_tag));
             policies.push(policy);
         }
-        for &(contract, mode) in &degraded {
-            contract_map.set_degraded_mode(contract, mode);
-        }
-        let total_rounds = tenants
-            .iter()
-            .map(|t| t.rounds.len() as u64)
-            .max()
-            .unwrap_or(0);
-        // Virtual nanoseconds per round (campaign-wide max): the telemetry
-        // clock ticks off it; seconds feed re-arbitration's demand window.
-        let round_ns_max = tenants
-            .iter()
-            .map(|t| t.scenario.round_ns())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let round_secs = round_ns_max as f64 / 1e9;
 
-        // --- fault/recovery bookkeeping ---------------------------------
-        let mut stall_until = vec![0u64; n];
-        let mut seen_q = vec![false; n];
-        let mut quarantined_order: Vec<usize> = Vec::new();
-        let mut failover_rejected: Vec<RejectedContract> = Vec::new();
-        let mut readmitted: Vec<ContractId> = Vec::new();
-        // Crashes already mirrored into every tenant's driver and the
-        // cluster; cleared when the slice re-enters probation so a flap
-        // (re-crash mid-probation) mirrors again.
-        let mut mirrored_q = vec![false; n];
-        // Slices a seeded WorkerRecover wants back in (re-armed with
-        // exponential backoff after each failed probation, until every
-        // tenant's rejoin budget is spent — flap damping).
-        let mut want_rejoin = vec![false; n];
-        let mut next_rejoin_round = vec![0u64; n];
-        let mut crash_round: Vec<Option<u64>> = vec![None; n];
-        let mut recovered_order: Vec<usize> = Vec::new();
-        let mut rejoin_rounds: Option<u64> = None;
-        let ack_loss: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0u32; n]));
-        if faults
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::PublishAckLoss { .. }))
-        {
-            let counts = Arc::clone(&ack_loss);
-            cluster.set_publish_ack_loss(Box::new(move |slice, _attempt| {
-                let mut counts = counts.lock().unwrap();
-                if counts[slice] > 0 {
-                    counts[slice] -= 1;
-                    true
-                } else {
-                    false
-                }
-            }));
-        }
-
-        // --- the one always-on service every tenant shares --------------
-        let stages: Vec<EnclaveFilterStage> = cluster
-            .enclaves()
-            .iter()
-            .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
-            .collect();
-        let forwarded: Mutex<Vec<FiveTuple>> = Mutex::new(Vec::new());
-        let mut service = DataplaneService::new(ServiceConfig {
-            ring_capacity: config.harness.ring_capacity,
-            burst: config.harness.burst,
-            ..Default::default()
-        })
-        .with_contracts(contract_map);
-        if let Some(hub) = &telemetry {
-            service = service.with_telemetry(Arc::clone(hub));
-        }
-
-        let reports = service.run(
-            stages,
-            |_, pkt| forwarded.lock().unwrap().push(pkt.tuple),
-            move |t: &FiveTuple| shard_of(t, n),
-            |svc| {
-                let mut merged: Vec<Packet> = Vec::new();
-                for global_round in 0..total_rounds {
-                    // Drive the hub's virtual clock off the campaign's
-                    // (max) round length — deterministic in the seed.
-                    if let Some(hub) = &telemetry {
-                        hub.set_time(global_round * round_ns_max);
-                    }
-                    // Fire this round's scheduled infrastructure faults.
-                    for ev in faults.due(global_round) {
-                        match ev.kind {
-                            FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
-                            FaultKind::WorkerRecover { worker } => {
-                                want_rejoin[worker % n] = true;
-                                if let Some(hub) = &telemetry {
-                                    hub.record_event(
-                                        EventKind::FaultInjected,
-                                        (worker % n) as u32,
-                                        fault::RECOVER,
-                                        0,
-                                    );
-                                }
-                            }
-                            FaultKind::WorkerStall { worker, rounds } => {
-                                let w = worker % n;
-                                stall_until[w] = stall_until[w].max(global_round + rounds);
-                            }
-                            FaultKind::RingOverflowStorm { worker, packets } => {
-                                svc.inject_overflow_storm(worker % n, packets);
-                            }
-                            FaultKind::PublishAckLoss { slice, count } => {
-                                ack_loss.lock().unwrap()[slice % n] += count;
-                                if let Some(hub) = &telemetry {
-                                    hub.record_event(
-                                        EventKind::FaultInjected,
-                                        (slice % n) as u32,
-                                        fault::ACK_LOSS,
-                                        count as u64,
-                                    );
-                                }
-                            }
-                            // Per-driver injection point: not wired in
-                            // campaign mode (see `with_faults`).
-                            FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. } => {}
-                        }
-                    }
-                    for (w, &until) in stall_until.iter().enumerate() {
-                        if until > global_round && !svc.quarantined()[w] {
-                            svc.stall_worker(w, true);
-                        }
-                    }
-
-                    // Attempt scheduled rejoins: relaunch the slice on a
-                    // fresh enclave, re-attest a NEW session *per tenant*
-                    // (fresh channels, audit keys, and sketch seeds —
-                    // pre-crash keys are never reused), replay rule and
-                    // contract state from the master, and respawn the
-                    // worker into probation. Live steering is untouched
-                    // until every tenant has promoted the slice.
-                    for w in 1..n {
-                        if !want_rejoin[w]
-                            || !svc.quarantined()[w]
-                            || svc.probation()[w]
-                            || global_round < next_rejoin_round[w]
-                            || cluster.quarantined()[0]
-                            || !tenants
-                                .iter()
-                                .any(|t| t.driver.state() == ContractState::Active)
-                        {
-                            continue;
-                        }
-                        if !tenants
-                            .iter()
-                            .all(|t| t.driver.quarantined()[w] && t.driver.rejoin_allowed(w))
-                        {
-                            want_rejoin[w] = false;
-                            continue;
-                        }
-                        want_rejoin[w] = false;
-                        cluster.relaunch_slice(w);
-                        for (idx, t) in tenants.iter_mut().enumerate() {
-                            if t.driver.state() != ContractState::Active {
-                                continue;
-                            }
-                            let fresh = t
-                                .client
-                                .establish_contract(
-                                    Arc::clone(&cluster.enclaves()[w]),
-                                    &ias,
-                                    derive32(
-                                        t.scenario.seed ^ global_round,
-                                        0x60 ^ ((idx as u8) << 3) ^ w as u8,
-                                    ),
-                                    t.contract,
-                                )
-                                .expect("rejoin re-attestation handshake");
-                            t.driver.start_probation(
-                                w,
-                                Arc::clone(&cluster.enclaves()[w]),
-                                fresh.victim_verifier(),
-                                fresh.neighbor_verifier(),
-                            );
-                        }
-                        cluster.resync_slice(0, w);
-                        if stale_rejoin == Some(w) {
-                            // Adversarial variant (see `with_stale_rejoin`):
-                            // wipe the replayed rules and keep the slice out
-                            // of the control plane so churn cannot heal it —
-                            // probation must catch the desync on its own.
-                            cluster.enclaves()[w].ecall(move |app| {
-                                app.install_ruleset(vif_core::ruleset::RuleSet::new())
-                            });
-                            cluster.quarantine_slice(w);
-                        }
-                        svc.respawn_worker(
-                            w,
-                            EnclaveFilterStage::new(
-                                Arc::clone(&cluster.enclaves()[w]),
-                                FilterMode::SgxNearZeroCopy,
-                            ),
-                        );
-                        mirrored_q[w] = false;
-                    }
-
-                    // Attribution state as the round starts (see
-                    // `attribute_slice`): a worker dying this round still
-                    // forwarded part of the offer under the old steering.
-                    let pre_q = svc.quarantined().to_vec();
-                    let pre_live = svc.live_workers().to_vec();
-                    let pre_prob = svc.probation().to_vec();
-
-                    // Merge every active tenant's schedule for this round
-                    // into one offered burst (arrival order per tenant is
-                    // preserved; cross-tenant interleaving is irrelevant —
-                    // verdicts are per packet and sketch updates commute).
-                    merged.clear();
-                    for t in tenants.iter_mut() {
-                        if t.driver.state() != ContractState::Active {
-                            continue;
-                        }
-                        let Some(round) = t.rounds.get(global_round as usize) else {
-                            continue;
-                        };
-                        for pkt in &round.packets {
-                            let fp = PacketFingerprints::of(&pkt.tuple);
-                            t.driver
-                                .neighbor_verifier_mut(attribute_slice(fp.tuple, &pre_q, &pre_live))
-                                .observe_fingerprint(fp.src_ip);
-                            // A probation slice shadows its home shard; its
-                            // fresh neighbor verifier observes the handover
-                            // too (the live re-steered slice keeps its own).
-                            let home = shard_of_fingerprint(fp.tuple, n);
-                            if pre_prob[home] {
-                                t.driver
-                                    .neighbor_verifier_mut(home)
-                                    .observe_fingerprint(fp.src_ip);
-                            }
-                        }
-                        merged.extend_from_slice(&round.packets);
-                    }
-                    svc.round(&merged);
-                    // Per-contract uncovered traffic for this round (the
-                    // degraded-mode accountability counters).
-                    let deltas = svc.contract_deltas().to_vec();
-
-                    // Mirror newly service-quarantined workers into every
-                    // tenant's audit driver and the cluster *before* any
-                    // tenant closes its round, then re-run admission over
-                    // the shrunken pool (rule-failover budget check). A
-                    // worker on probation (quarantined *and* probation in
-                    // the service) is left alone — the drivers audit it off
-                    // its shadow logs; a worker that crashed *mid-probation*
-                    // (a flap) is flap-demoted here for every tenant, with
-                    // the rejoin attempt charged and backoff scheduled.
-                    let mut new_quarantine = false;
-                    for w in 0..n {
-                        if !svc.quarantined()[w] || svc.probation()[w] || mirrored_q[w] {
-                            continue;
-                        }
-                        mirrored_q[w] = true;
-                        new_quarantine = true;
-                        if !seen_q[w] {
-                            seen_q[w] = true;
-                            quarantined_order.push(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        let mut flap = false;
-                        let mut backoff = 0u64;
-                        let mut allowed = true;
-                        for t in tenants.iter_mut() {
-                            if t.driver.probation()[w] {
-                                t.driver.demote_slice(w);
-                                flap = true;
-                            } else if !t.driver.quarantined()[w] {
-                                t.driver.quarantine_slice(w);
-                            }
-                            backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                            allowed = allowed && t.driver.rejoin_allowed(w);
-                        }
-                        if flap {
-                            next_rejoin_round[w] = global_round + 1 + backoff;
-                            want_rejoin[w] = allowed;
-                        }
-                        if crash_round[w].is_none() {
-                            crash_round[w] = Some(global_round);
-                        }
-                    }
-                    if new_quarantine && !cluster.quarantined()[0] {
-                        let window_secs = (global_round + 1) as f64 * round_secs;
-                        let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
-                        for t in tenants.iter() {
-                            if let Some(AdmissionVerdict::Rejected { reason }) =
-                                arb.verdict(t.contract)
-                            {
-                                if !failover_rejected.iter().any(|r| r.contract == t.contract) {
-                                    failover_rejected.push(RejectedContract {
-                                        contract: t.contract,
-                                        reason: reason.to_string(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-
-                    // Split what arrived by destination prefix: each
-                    // tenant consumes only its own deliveries.
-                    for tuple in forwarded.lock().unwrap().drain(..) {
-                        for t in tenants.iter_mut() {
-                            if t.scenario.victim.contains(tuple.dst_ip) {
-                                t.received.push(tuple);
-                                break;
-                            }
-                        }
-                    }
-
-                    // Each tenant closes *its own* audited round and
-                    // reacts; its churn publishes its own epoch before the
-                    // next tenant is processed, so deferred install ids
-                    // are assigned contract by contract, deterministically.
-                    for (t, policy) in tenants.iter_mut().zip(policies.iter_mut()) {
-                        if t.driver.state() != ContractState::Active {
-                            continue;
-                        }
-                        if (global_round as usize) >= t.rounds.len() {
-                            continue;
-                        }
-                        let uncovered = deltas
-                            .iter()
-                            .find(|d| d.contract == t.contract)
-                            .map(|d| d.uncovered)
-                            .unwrap_or(0);
-                        step_tenant(
-                            t,
-                            policy.as_mut(),
-                            global_round as usize,
-                            &mut cluster,
-                            &pre_q,
-                            &pre_live,
-                            &pre_prob,
-                            uncovered,
-                        );
-                    }
-
-                    // Probation verdicts, coordinated across tenants: ANY
-                    // tenant's dirty (or unauditable) probation audit
-                    // demotes the slice for everyone, with the next attempt
-                    // scheduled after exponential backoff; the worker is
-                    // restored into the steering hash only once EVERY
-                    // tenant still auditing has promoted it.
-                    let mut demoted_ws: BTreeSet<usize> = BTreeSet::new();
-                    let mut promoted_ws: BTreeSet<usize> = BTreeSet::new();
-                    for t in tenants.iter_mut() {
-                        demoted_ws.extend(t.driver.take_demoted());
-                        promoted_ws.extend(t.driver.take_promoted());
-                    }
-                    for &w in &demoted_ws {
-                        promoted_ws.remove(&w);
-                        if svc.probation()[w] {
-                            svc.demote_worker(w);
-                        }
-                        if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                            cluster.quarantine_slice(w);
-                        }
-                        mirrored_q[w] = true;
-                        let mut backoff = 0u64;
-                        let mut allowed = true;
-                        for t in tenants.iter_mut() {
-                            if t.driver.probation()[w] {
-                                t.driver.demote_slice(w);
-                            } else if !t.driver.quarantined()[w] {
-                                t.driver.quarantine_slice(w);
-                            }
-                            backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                            allowed = allowed && t.driver.rejoin_allowed(w);
-                        }
-                        next_rejoin_round[w] = global_round + 1 + backoff;
-                        want_rejoin[w] = allowed;
-                    }
-                    for &w in &promoted_ws {
-                        let all_clear = tenants.iter().all(|t| {
-                            t.driver.state() != ContractState::Active
-                                || (global_round as usize) >= t.rounds.len()
-                                || (!t.driver.probation()[w] && !t.driver.quarantined()[w])
-                        });
-                        if !all_clear {
-                            continue;
-                        }
-                        svc.restore_worker(w);
-                        recovered_order.push(w);
-                        if rejoin_rounds.is_none() {
-                            rejoin_rounds = crash_round[w].map(|c| global_round - c);
-                        }
-                        // The pool grew back: re-run admission over the
-                        // restored slices and re-admit failover-rejected
-                        // contracts that fit again.
-                        let window_secs = (global_round + 1) as f64 * round_secs;
-                        let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
-                        failover_rejected.retain(|r| {
-                            if matches!(
-                                arb.verdict(r.contract),
-                                Some(AdmissionVerdict::Rejected { .. })
-                            ) {
-                                true
-                            } else {
-                                readmitted.push(r.contract);
-                                false
-                            }
-                        });
-                    }
-                }
-
-                tenants
-                    .iter()
-                    .map(|t| ScenarioReport {
-                        scenario: t.scenario.name.clone(),
-                        contract: t.contract,
-                        seed: t.scenario.seed,
-                        workers: n,
-                        phases: t.phases.clone(),
-                        rounds: t.rounds_run,
-                        dirty_rounds: t.dirty_rounds,
-                        final_state: t.driver.state(),
-                        detection_latency_rounds: None,
-                        rules_installed: t.total_installed,
-                        rules_withdrawn: t.total_withdrawn,
-                        quarantined_slices: quarantined_order.clone(),
-                        recovery_rounds: t
-                            .outage_start
-                            .and_then(|start| t.recovered_at.map(|r| r - start)),
-                        recovered_slices: recovered_order.clone(),
-                        rejoin_rounds,
-                        probation_rounds: t.driver.probation_rounds_used(),
-                    })
-                    .collect::<Vec<_>>()
-            },
+        let outcome = run_rounds(
+            deployment,
+            tenants,
+            policies
+                .iter_mut()
+                .map(|p| &mut **p as &mut dyn VictimPolicy)
+                .collect(),
         );
-        for (report, policy) in reports.iter().zip(policies.iter_mut()) {
-            policy.finish(report);
-        }
-
         CampaignReport {
-            reports,
+            reports: outcome.reports,
             rejected,
-            failover_rejected,
-            readmitted,
+            failover_rejected: outcome.failover_rejected,
+            readmitted: outcome.readmitted,
         }
     }
-}
-
-/// One tenant's end-of-round step: score deliveries, audit, react,
-/// publish its epoch.
-#[allow(clippy::too_many_arguments)]
-fn step_tenant(
-    t: &mut Tenant,
-    policy: &mut dyn VictimPolicy,
-    round_idx: usize,
-    cluster: &mut EnclaveCluster,
-    pre_q: &[bool],
-    pre_live: &[usize],
-    pre_prob: &[bool],
-    uncovered: u64,
-) {
-    let round = &t.rounds[round_idx];
-    let phase = &mut t.phases[round.phase];
-    phase.rounds += 1;
-    phase.offered_legit += round.offered_legit;
-    phase.offered_attack += round.offered_attack;
-    phase.uncovered += uncovered;
-    if uncovered > 0 {
-        if t.outage_start.is_none() {
-            t.outage_start = Some(round.global_round);
-        }
-        t.recovered_at = None;
-    } else if t.outage_start.is_some() && t.recovered_at.is_none() {
-        t.recovered_at = Some(round.global_round);
-    }
-
-    t.hh_sketch.clear();
-    let mut candidates: BTreeSet<u32> = BTreeSet::new();
-    for tuple in t.received.drain(..) {
-        let fp = PacketFingerprints::of(&tuple);
-        t.driver
-            .victim_verifier_mut(attribute_slice(fp.tuple, pre_q, pre_live))
-            .observe_fingerprint(fp.tuple);
-        // The stateless filter is deterministic, so the shadow copy of
-        // every sink-delivered home-shard packet was forwarded (and
-        // logged outgoing) by a probation slice too.
-        let home = shard_of_fingerprint(fp.tuple, pre_q.len());
-        if pre_prob[home] {
-            t.driver
-                .victim_verifier_mut(home)
-                .observe_fingerprint(fp.tuple);
-        }
-        if round.attack_sources.contains(&tuple.src_ip) {
-            phase.delivered_attack += 1;
-        } else {
-            phase.delivered_legit += 1;
-        }
-        t.hh_sketch.add(&tuple.src_ip.to_be_bytes(), 1);
-        candidates.insert(tuple.src_ip);
-    }
-
-    let outcome = t.driver.close_round().expect("authentic slice exports");
-    t.rounds_run += 1;
-    if outcome.dirty() {
-        t.dirty_rounds += 1;
-        phase.dirty_rounds += 1;
-    }
-
-    // Per-contract rule telemetry: matched bytes of the tenant's own
-    // rules across the live slices, diffed against the last round's
-    // snapshot.
-    let cur_rule_bytes = cluster.contract_rule_bytes(t.contract);
-    for rule in &mut t.installed {
-        let cur = cur_rule_bytes.get(&rule.id).copied().unwrap_or(0);
-        let prev = t.prev_rule_bytes.get(&rule.id).copied().unwrap_or(0);
-        if cur == prev {
-            rule.rounds_idle += 1;
-        } else {
-            rule.rounds_idle = 0;
-        }
-    }
-
-    let mut heavy: Vec<HeavyHitter> = candidates
-        .iter()
-        .map(|&src| HeavyHitter {
-            src_ip: src,
-            estimated_packets: t.hh_sketch.estimate(&src.to_be_bytes()),
-        })
-        .collect();
-    heavy.sort_by(|a, b| {
-        b.estimated_packets
-            .cmp(&a.estimated_packets)
-            .then(a.src_ip.cmp(&b.src_ip))
-    });
-
-    let mut actions = Vec::new();
-    policy.react(
-        &PolicyObservation {
-            round: round.global_round,
-            outcome: &outcome,
-            heavy_hitters: &heavy,
-            installed: &t.installed,
-            victim: t.scenario.victim,
-        },
-        &mut actions,
-    );
-
-    let mut installs: Vec<FilterRule> = Vec::new();
-    let mut withdrawals: Vec<RuleId> = Vec::new();
-    for action in actions {
-        match action {
-            PolicyAction::Install(rule) => installs.push(rule),
-            PolicyAction::Withdraw(id) => withdrawals.push(id),
-        }
-    }
-    // With the master slice quarantined the control channel is down:
-    // churn is dropped until failover, and the tenant keeps running on
-    // its frozen rule set.
-    let master_live = !cluster.quarantined()[0];
-    if !withdrawals.is_empty() && master_live {
-        let removed = t
-            .session
-            .withdraw_rules_deferred(&withdrawals)
-            .expect("withdrawal over the session channel");
-        t.installed.retain(|r| !withdrawals.contains(&r.id));
-        phase.rules_withdrawn += removed as u32;
-        t.total_withdrawn += removed as u32;
-    }
-    if !installs.is_empty() && master_live {
-        t.session
-            .submit_rules_deferred(&installs, &t.rpki)
-            .expect("install over the session channel");
-        phase.rules_installed += installs.len() as u32;
-        t.total_installed += installs.len() as u32;
-    }
-    if master_live && (!installs.is_empty() || !withdrawals.is_empty()) {
-        // Publish *this contract's* epoch only: other tenants' queues,
-        // epochs, and sketches stay untouched. The report hands back the
-        // ids the publisher assigned to this tenant's installs.
-        let report = cluster.publish_contract(0, t.contract);
-        for (i, rule) in installs.iter().enumerate() {
-            t.installed.push(InstalledRule {
-                id: report.new_rule_ids[i],
-                rule: *rule,
-                installed_round: round.global_round,
-                rounds_idle: 0,
-            });
-        }
-        // Publication resets every rule's byte counters on every slice.
-        t.prev_rule_bytes = BTreeMap::new();
-    } else {
-        t.prev_rule_bytes = cur_rule_bytes;
-    }
-}
-
-/// Expands a seed into deterministic 32-byte key material (domain-tagged).
-fn derive32(seed: u64, tag: u8) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    let base = seed ^ (tag as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for (word, chunk) in out.chunks_mut(8).enumerate() {
-        let z = vif_sketch::hash::splitmix64(
-            base.wrapping_add((word as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        chunk.copy_from_slice(&z.to_le_bytes());
-    }
-    out
 }

@@ -69,6 +69,7 @@ pub mod campaign;
 pub mod harness;
 pub mod policy;
 pub mod report;
+mod round_loop;
 pub mod timeline;
 
 pub use campaign::{

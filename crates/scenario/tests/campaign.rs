@@ -163,13 +163,15 @@ struct IdleRecorder {
 impl VictimPolicy for IdleRecorder {
     fn react(&mut self, obs: &PolicyObservation<'_>, actions: &mut Vec<PolicyAction>) {
         if obs.round == 0 {
-            actions.push(PolicyAction::Install(FilterRule::drop(FlowPattern::prefixes(
-                Ipv4Prefix::host(self.src),
-                obs.victim,
-            ))));
+            actions.push(PolicyAction::Install(FilterRule::drop(
+                FlowPattern::prefixes(Ipv4Prefix::host(self.src), obs.victim),
+            )));
         }
         for rule in obs.installed {
-            self.seen.lock().unwrap().push((obs.round, rule.rounds_idle));
+            self.seen
+                .lock()
+                .unwrap()
+                .push((obs.round, rule.rounds_idle));
         }
     }
 }

@@ -426,11 +426,14 @@ mod golden {
                 "cdb23c249738751303022639c120495842a4c1ed60eba6aa950e4f86e02f304e",
                 "b39620517e8b13685d43e97f71491cf4a923c58232ced9461f58fc0d6af35f5d",
             ],
+            // A rejoin records each tenant's `probation` event before the
+            // cluster's `rejoin` event, in single-victim runs as in
+            // campaigns.
             [
                 "df5c0661be499fea3462cbc1f51cf648df7d1d91d1411cc2ad8b02058c64ca1b",
-                "04985ebf2b6f08d680cc556caf516480d89a8ddc9b29c4cee8e4ffba8e708289",
+                "ce3e38d616ed686112250b14aca717b7b67f6b4fad060da9cfe4f4282353f6e4",
                 "d16b6696136c2ce079de4ef2158bcd06bb5ad100a6944f8a38e49404c2528296",
-                "88e1fecc5556611c8f77ee288a4935e225072e95b826c7a5ab15546909ff1357",
+                "d9b3f7e59259b2f303f090f9b95498968c650ff19146b046e77e2ebedf2ecb7e",
             ],
             [
                 "1431a6639524d7f884b287c7b4a8063e14eca23ed1f752af9275b7b5ebeda520",
