@@ -71,10 +71,7 @@ pub mod prelude {
     pub use crate::backend::FilterBackend;
     pub use crate::cost::{CostModel, FilterMode};
     pub use crate::enclave_app::{EnclaveFilterStage, FilterEnclaveApp, RuleEdit};
-    pub use crate::endtoend::{
-        AdversaryBehavior, FilteringRun, RunReport, SessionSteer, ShardAdversary, ShardedRun,
-        ShardedRunReport, ShardedSession,
-    };
+    pub use crate::endtoend::{AdversaryBehavior, FilteringRun, RunReport};
     pub use crate::filter::StatelessFilter;
     pub use crate::hybrid::HybridFilter;
     pub use crate::logs::{AuthenticatedSketch, PacketLogs};

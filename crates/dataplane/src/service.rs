@@ -75,7 +75,7 @@ use crate::packet::{FiveTuple, Packet};
 use crate::pipeline::{PacketStage, StageVerdict};
 use crate::ring::Ring;
 use crate::sharded::ShardedReport;
-use crate::threaded::ThreadedReport;
+use crate::sharded::ThreadedReport;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

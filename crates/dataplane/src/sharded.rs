@@ -1,8 +1,8 @@
 //! A sharded multi-worker live pipeline: RX → N filter workers → TX.
 //!
-//! [`crate::threaded`] runs the paper's Fig. 6 pipeline with exactly one
-//! filter thread; this module runs the §IV scale-out architecture on real
-//! threads. One RX thread RSS-hashes each flow onto one of `N` per-worker
+//! The paper's Fig. 6 pipeline, scaled out to the §IV architecture and
+//! run on real threads (one worker is the single-filter-thread case). One
+//! RX thread RSS-hashes each flow onto one of `N` per-worker
 //! rings — the same [`fingerprint`](vif_sketch::hash::fingerprint)-based
 //! steering the scale-out load
 //! balancer uses for split rules, so flow → worker assignment is
@@ -28,7 +28,7 @@
 //! # One-shot runs are one-round services
 //!
 //! Since the always-on service landed ([`crate::service`]), this module no
-//! longer owns any thread machinery: [`run_sharded_with_steering`] starts a
+//! longer owns any thread machinery: [`run_sharded`] starts a
 //! [`DataplaneService`], offers the whole
 //! traffic vector as a single round, flushes it, and shuts the service
 //! down. There is exactly one copy of the ring/backoff/panic-propagation
@@ -38,7 +38,23 @@
 use crate::packet::Packet;
 use crate::pipeline::PacketStage;
 use crate::service::{DataplaneService, ServiceConfig};
-use crate::threaded::ThreadedReport;
+
+/// Counters from a live run (one worker's share, or a total).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThreadedReport {
+    /// Packets injected by the RX thread.
+    pub received: u64,
+    /// Packets forwarded by the TX thread.
+    pub forwarded: u64,
+    /// Packets dropped by filter verdict.
+    pub filtered: u64,
+    /// Packets lost to RX-ring overflow (backpressure).
+    pub overflow: u64,
+    /// Packets that bypassed filtering because their worker was dead or
+    /// quarantined — the degraded-mode accountability counter. Zero on
+    /// every healthy run.
+    pub uncovered: u64,
+}
 
 /// RSS steering: the worker that owns `t`'s flow in an `n`-way shard.
 ///
@@ -114,11 +130,16 @@ impl ShardedReport {
 }
 
 /// Runs `traffic` through a live RX → N×filter → TX sharded pipeline with
-/// the default [`shard_of`] RSS steering.
+/// the default [`shard_of`] RSS steering: a one-round
+/// [`DataplaneService`].
 ///
 /// One worker thread is spawned per element of `stages`; forwarded packets
 /// reach `sink` on the TX thread as `(worker, packet)`. Returns when every
 /// packet has been drained.
+///
+/// # Panics
+///
+/// Panics if `stages` is empty or `ring_capacity`/`burst` is zero.
 pub fn run_sharded<S, F>(
     traffic: Vec<Packet>,
     stages: Vec<S>,
@@ -131,41 +152,17 @@ where
     F: FnMut(usize, &Packet) + Send,
 {
     let n = stages.len();
-    run_sharded_with_steering(traffic, stages, sink, ring_capacity, burst, move |t| {
-        shard_of(t, n)
-    })
-}
-
-/// [`run_sharded`] with caller-supplied steering.
-///
-/// `steer` maps each packet's five tuple to a worker index (reduced modulo
-/// the worker count for safety). Production steering is [`shard_of`]; tests
-/// inject faulty steering here to exercise misroute detection — the audit
-/// layer attributes flows by [`shard_of`], so a steering function that
-/// disagrees with it shows up as dirty slices.
-///
-/// # Panics
-///
-/// Panics if `stages` is empty or `ring_capacity`/`burst` is zero.
-pub fn run_sharded_with_steering<S, F, R>(
-    traffic: Vec<Packet>,
-    stages: Vec<S>,
-    sink: F,
-    ring_capacity: usize,
-    burst: usize,
-    steer: R,
-) -> ShardedReport
-where
-    S: PacketStage + Send,
-    F: FnMut(usize, &Packet) + Send,
-    R: FnMut(&crate::packet::FiveTuple) -> usize + Send,
-{
     let config = ServiceConfig {
         ring_capacity,
         burst,
         ..Default::default()
     };
-    DataplaneService::new(config).run(stages, sink, steer, |svc| svc.round(&traffic).clone())
+    DataplaneService::new(config).run(
+        stages,
+        sink,
+        move |t: &crate::packet::FiveTuple| shard_of(t, n),
+        |svc| svc.round(&traffic).clone(),
+    )
 }
 
 #[cfg(test)]
@@ -260,17 +257,14 @@ mod tests {
         let t = traffic(1_000);
         let stages: Vec<_> = (0..2).map(|_| parity_stage()).collect();
         // Everything to (out-of-range) worker 5 → clamped to 5 % 2 = 1.
-        let report = run_sharded_with_steering(t, stages, |_, _| {}, 4_096, 16, |_| 5usize);
+        let report = DataplaneService::new(ServiceConfig {
+            ring_capacity: 4_096,
+            burst: 16,
+            ..Default::default()
+        })
+        .run(stages, |_, _| {}, |_| 5usize, |svc| svc.round(&t).clone());
         assert_eq!(report.per_worker[0].received, 0);
         assert_eq!(report.per_worker[1].received, 1_000);
-    }
-
-    #[test]
-    fn single_worker_matches_threaded_semantics() {
-        let t = traffic(5_000);
-        let sharded = run_sharded(t.clone(), vec![parity_stage()], |_, _| {}, 8_192, 32);
-        let threaded = crate::threaded::run_threaded(t, parity_stage(), |_| {}, 8_192, 32);
-        assert_eq!(sharded.total(), threaded);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Multi-victim campaign mode: many tenant contracts, one live cluster.
 //!
-//! Where [`crate::harness::ScenarioHarness`] scripts one victim's closed
-//! loop, a [`CampaignHarness`] runs several victims' scenarios
-//! *simultaneously* against a single always-on service — the paper's
-//! actual deployment shape, a transit ISP/IXP selling verifiable
-//! filtering to many customers at once:
+//! A [`CampaignHarness`] runs several victims' scenarios *simultaneously*
+//! against a single always-on service — the paper's actual deployment
+//! shape, a transit ISP/IXP selling verifiable filtering to many
+//! customers at once. A single-victim
+//! [`ScenarioHarness`](crate::harness::ScenarioHarness) run is the
+//! one-tenant case of the same round loop. This module owns what only
+//! campaigns have — admission and per-contract provisioning:
 //!
 //! 1. **Admission**: each declared contract's projected per-rule demand
 //!    goes through [`vif_optimizer::arbitrate`]; contracts that do not fit
@@ -16,12 +18,13 @@
 //!    ([`VictimClient::establish_contract`]), landing its channel, audit
 //!    key, and sketch pair in its own enclave slot on every slice
 //!    ([`EnclaveCluster::provision_contract`]).
-//! 3. **Execution**: every virtual round merges all active scenarios'
-//!    packet schedules onto one [`DataplaneService`] (per-contract round
-//!    deltas split by destination prefix), then each contract
-//!    independently audits its round with its own
-//!    [`ClusterRoundDriver`], reacts through its own [`VictimPolicy`],
-//!    and publishes its own epoch
+//! 3. **Execution** (the shared round loop): every virtual round merges
+//!    all active scenarios' packet schedules onto one
+//!    [`DataplaneService`](vif_dataplane::DataplaneService) (per-contract
+//!    round deltas split by destination prefix), then each contract in
+//!    turn audits its round with its own
+//!    [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver), reacts
+//!    through its own [`VictimPolicy`], and publishes its own epoch
 //!    ([`EnclaveCluster::publish_contract`]) — one tenant's churn,
 //!    rotation, and strikes never touch another tenant's slot.
 //! 4. **Scoring**: every contract ends with its own [`ScenarioReport`]
@@ -160,11 +163,11 @@ impl CampaignHarness {
 
     /// Attaches a seeded fault schedule shared by the whole campaign
     /// (faults hit infrastructure, not tenants). Worker crashes, stalls,
-    /// overflow storms, and publish-ack loss all fire; export-fault events
-    /// are ignored in campaign mode — each tenant audits with its own
-    /// driver and the injection point is per driver (use
-    /// [`crate::harness::ScenarioHarness::with_faults`] to exercise
-    /// those).
+    /// overflow storms, and publish-ack loss all fire. Export faults hook
+    /// into every tenant's audit driver: a slice whose export keeps
+    /// failing past the retries is quarantined by each tenant that audits
+    /// it. A non-empty plan switches every driver's export-failure policy
+    /// to quarantine-the-slice, so chaos runs degrade instead of aborting.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

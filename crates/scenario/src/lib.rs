@@ -20,20 +20,24 @@
 //!   and withdrawals. [`ThresholdPolicy`] is the default: drop sources
 //!   whose estimated per-round rate crosses a threshold, withdraw rules
 //!   once they go idle.
-//! - [`harness`]: the [`ScenarioHarness`] wires a scenario through the
-//!   real machinery — an attested §VI-B session against a master enclave,
-//!   an RSS-replicated [`EnclaveCluster`](vif_core::scale::EnclaveCluster)
-//!   behind the live `run_sharded` pipeline, a
-//!   [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver) closing
-//!   an audited round per virtual round, and live rule churn (session
-//!   install/withdraw + replicated `redistribute`) between rounds while
-//!   the same enclaves keep filtering.
+//! - [`harness`]: the [`ScenarioHarness`] wires one victim's scenario
+//!   through the real machinery — an attested §VI-B session against a
+//!   master enclave on the default contract 0, an RSS-replicated
+//!   [`EnclaveCluster`](vif_core::scale::EnclaveCluster) keyed by that
+//!   session — and runs it as a one-tenant campaign.
 //! - [`campaign`]: the multi-tenant mode — a [`CampaignHarness`] runs
 //!   several victims' scenarios *simultaneously* as independent contracts
-//!   on one shared cluster and one always-on service: optimizer-arbitrated
-//!   admission ([`vif_optimizer::arbitrate`]), per-contract attested
-//!   sessions/audit sketches/epochs, per-contract publication, and one
-//!   [`ScenarioReport`] per tenant.
+//!   on one shared cluster: optimizer-arbitrated admission
+//!   ([`vif_optimizer::arbitrate`]), per-contract attested sessions and
+//!   audit sketches, and one [`ScenarioReport`] per tenant.
+//! - Both harnesses hand their tenants to one private round loop: every
+//!   virtual round runs on the always-on
+//!   [`DataplaneService`](vif_dataplane::DataplaneService), a
+//!   [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver) per
+//!   tenant closes an audited round, and each tenant's churn (session
+//!   install/withdraw, then
+//!   [`publish_contract`](vif_core::scale::EnclaveCluster::publish_contract))
+//!   goes live as its own epoch while the same enclaves keep filtering.
 //! - **chaos**: both harnesses take a seeded
 //!   [`FaultPlan`] (`with_faults`) of worker
 //!   crashes/stalls, export corruption/timeouts, publish-ack loss, and

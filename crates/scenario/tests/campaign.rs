@@ -6,8 +6,9 @@ use std::sync::{Arc, Mutex};
 use vif_core::rules::{FilterRule, FlowPattern};
 use vif_dataplane::shard_of;
 use vif_scenario::{
-    CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, LegitProfile, Phase,
-    PhaseKind, PolicyAction, PolicyObservation, Scenario, ThresholdPolicy, VictimPolicy,
+    CampaignConfig, CampaignContract, CampaignHarness, CampaignReport, FaultKind, FaultPlan,
+    LegitProfile, Phase, PhaseKind, PolicyAction, PolicyObservation, Scenario, ScenarioAdversary,
+    ScenarioHarnessConfig, ThresholdPolicy, VictimPolicy,
 };
 use vif_trie::Ipv4Prefix;
 
@@ -218,4 +219,82 @@ fn idle_telemetry_counts_traffic_on_every_slice() {
         seen.iter().all(|&(_, idle)| idle == 0),
         "a rule matching traffic on a non-master slice read as idle: {seen:?}"
     );
+}
+
+/// Victims A and B on one cluster, both with the default policy.
+fn two_tenants(config: CampaignConfig) -> CampaignHarness {
+    CampaignHarness::new(
+        vec![
+            CampaignContract {
+                contract: 1,
+                scenario: scenario_a(5),
+                demand_gbps_per_rule: vec![0.5; 8],
+            },
+            CampaignContract {
+                contract: 2,
+                scenario: scenario_b(5 ^ 0xb),
+                demand_gbps_per_rule: vec![0.25; 4],
+            },
+        ],
+        config,
+    )
+}
+
+fn default_policies() -> Vec<Box<dyn VictimPolicy>> {
+    vec![
+        Box::new(ThresholdPolicy::default()),
+        Box::new(ThresholdPolicy::default()),
+    ]
+}
+
+/// The scenario adversary steals one worker's output from every tenant
+/// at once; each tenant's own audit flags it in the onset round.
+#[test]
+fn campaign_adversary_is_detected_by_every_tenant() {
+    let report = two_tenants(CampaignConfig {
+        harness: ScenarioHarnessConfig {
+            adversary: Some(ScenarioAdversary {
+                from_round: 2,
+                drop_after_worker: 1,
+            }),
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .run(default_policies());
+    assert_eq!(report.reports.len(), 2);
+    for r in &report.reports {
+        assert!(r.dirty_rounds > 0, "contract {} saw no strike", r.contract);
+        assert_eq!(
+            r.detection_latency_rounds,
+            Some(1),
+            "contract {}",
+            r.contract
+        );
+        assert!(
+            r.dirty_rounds as u64 <= r.rounds - 2,
+            "rounds 0–1 are clean"
+        );
+    }
+}
+
+/// An export fault that outlasts the retries quarantines the slice in
+/// every tenant's audit, not only in single-victim runs.
+#[test]
+fn campaign_export_fault_quarantines_the_slice_for_every_tenant() {
+    const SLICE: usize = 1;
+    let report = two_tenants(CampaignConfig::default())
+        .with_faults(FaultPlan::new().at(
+            2,
+            FaultKind::ExportCorrupt {
+                slice: SLICE,
+                attempts: 100,
+            },
+        ))
+        .run(default_policies());
+    assert_eq!(report.reports.len(), 2);
+    for r in &report.reports {
+        assert_eq!(r.quarantined_slices, vec![SLICE], "contract {}", r.contract);
+        assert_eq!(r.dirty_rounds, 0, "contract {}", r.contract);
+    }
 }
