@@ -12,10 +12,12 @@
 //!    ([`EnclaveCluster::launch_rss_with`]), keyed by that session.
 //!
 //! It then hands the one tenant to the round loop the campaign harness
-//! also runs (`round_loop`): the always-on [`DataplaneService`](vif_dataplane::DataplaneService)
-//! carries every virtual round, a [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver)
-//! closes an audited round per virtual round, and the [`VictimPolicy`]'s
-//! churn is published mid-service, one epoch at a time.
+//! also runs (`round_loop`): the always-on
+//! [`DataplaneService`](vif_dataplane::DataplaneService) carries every
+//! virtual round, a
+//! [`ClusterRoundDriver`](vif_core::rounds::ClusterRoundDriver) closes an
+//! audited round per virtual round, and the [`VictimPolicy`]'s churn is
+//! published mid-service, one epoch at a time.
 //!
 //! The resulting [`ScenarioReport`] is deterministic in the scenario seed
 //! and harness configuration (see the crate docs for the argument).
@@ -113,8 +115,8 @@ impl ScenarioHarness {
     /// (worker crash/stall/overflow on the service, export faults on the
     /// round driver, ack loss on the cluster). A non-empty plan also
     /// switches the driver's export-failure policy to
-    /// [`ExportFailurePolicy::QuarantineSlice`](vif_core::rounds::ExportFailurePolicy::QuarantineSlice) so chaos runs degrade
-    /// instead of aborting.
+    /// [`QuarantineSlice`](vif_core::rounds::ExportFailurePolicy::QuarantineSlice)
+    /// so chaos runs degrade instead of aborting.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

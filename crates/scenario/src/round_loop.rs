@@ -307,7 +307,7 @@ pub(crate) fn run_rounds(
     {
         let counts = Arc::clone(&ack_loss);
         cluster.set_publish_ack_loss(Box::new(move |slice, _attempt| {
-            let mut counts = counts.lock().unwrap();
+            let mut counts = counts.lock().expect("ack-loss counters poisoned");
             if counts[slice] > 0 {
                 counts[slice] -= 1;
                 true
@@ -343,7 +343,7 @@ pub(crate) fn run_rounds(
         stages,
         |worker, pkt| {
             if adversary_drop.load(Ordering::Relaxed) != worker {
-                forwarded.lock().unwrap().push(pkt.tuple);
+                forwarded.lock().expect("TX sink poisoned").push(pkt.tuple);
             }
         },
         move |t: &FiveTuple| shard_of(t, n),
@@ -389,7 +389,8 @@ pub(crate) fn run_rounds(
                             svc.inject_overflow_storm(worker % n, packets);
                         }
                         FaultKind::PublishAckLoss { slice, count } => {
-                            ack_loss.lock().unwrap()[slice % n] += count;
+                            ack_loss.lock().expect("ack-loss counters poisoned")[slice % n] +=
+                                count;
                             if let Some(hub) = &telemetry {
                                 hub.record_event(
                                     EventKind::FaultInjected,
@@ -578,7 +579,7 @@ pub(crate) fn run_rounds(
 
                 // Split what arrived by destination prefix: each tenant
                 // consumes only its own deliveries.
-                for tuple in forwarded.lock().unwrap().drain(..) {
+                for tuple in forwarded.lock().expect("TX sink poisoned").drain(..) {
                     if let Some(t) = tenants
                         .iter_mut()
                         .find(|t| t.scenario.victim.contains(tuple.dst_ip))
