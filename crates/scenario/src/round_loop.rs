@@ -47,9 +47,9 @@ use vif_core::scale::EnclaveCluster;
 use vif_core::session::{FilteringSession, VictimClient};
 use vif_dataplane::{
     shard_of, shard_of_fingerprint, ContractMap, DataplaneService, FaultKind, FaultPlan, FiveTuple,
-    Packet, ServiceConfig,
+    Packet, ServiceConfig, ServiceHandle,
 };
-use vif_optimizer::AdmissionVerdict;
+use vif_optimizer::{AdmissionVerdict, ArbiterConfig, Arbitration};
 use vif_sgx::AttestationService;
 use vif_sketch::{CountMinSketch, SketchConfig};
 use vif_telemetry::{fault, EventKind, TelemetryHub};
@@ -247,11 +247,11 @@ pub(crate) struct RunOutcome {
 /// [`VictimPolicy::finish`] call with its report.
 pub(crate) fn run_rounds(
     dep: Deployment,
-    mut tenants: Vec<Tenant>,
+    tenants: Vec<Tenant>,
     mut policies: Vec<&mut dyn VictimPolicy>,
 ) -> RunOutcome {
     let Deployment {
-        mut cluster,
+        cluster,
         ias,
         config,
         faults,
@@ -274,55 +274,38 @@ pub(crate) fn run_rounds(
         .max()
         .unwrap_or(1)
         .max(1);
-    let round_secs = round_ns_max as f64 / 1e9;
-
-    // --- fault/recovery bookkeeping ---------------------------------
-    // Stall windows (exclusive end round) re-asserted every round of the
-    // window: the round barrier force-releases a stall, so a multi-round
-    // stall is |rounds| single-round stalls.
-    let mut stall_until = vec![0u64; n];
-    let mut seen_q = vec![false; n];
-    let mut quarantined_order: Vec<usize> = Vec::new();
-    let mut failover_rejected: Vec<RejectedContract> = Vec::new();
-    let mut readmitted: Vec<ContractId> = Vec::new();
-    // Crashes already mirrored into every tenant's driver and the
-    // cluster; cleared when the slice re-enters probation so a flap
-    // (re-crash mid-probation) mirrors again.
-    let mut mirrored_q = vec![false; n];
-    // Slices a seeded WorkerRecover wants back in (re-armed with
-    // exponential backoff after each failed probation, until every
-    // tenant's rejoin budget is spent — flap damping).
-    let mut want_rejoin = vec![false; n];
-    let mut next_rejoin_round = vec![0u64; n];
-    let mut crash_round: Vec<Option<u64>> = vec![None; n];
-    let mut recovered_order: Vec<usize> = Vec::new();
-    let mut rejoin_rounds: Option<u64> = None;
-    // Publish-ack loss is armed per round by the fault loop below and
-    // consumed by the cluster's install path (shared countdown).
-    let ack_loss: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0u32; n]));
-    if faults
-        .events()
-        .iter()
-        .any(|e| matches!(e.kind, FaultKind::PublishAckLoss { .. }))
-    {
-        let counts = Arc::clone(&ack_loss);
-        cluster.set_publish_ack_loss(Box::new(move |slice, _attempt| {
-            let mut counts = counts.lock().expect("ack-loss counters poisoned");
-            if counts[slice] > 0 {
-                counts[slice] -= 1;
-                true
-            } else {
-                false
-            }
-        }));
-    }
+    let mut lp = RoundLoop {
+        n,
+        round_secs: round_ns_max as f64 / 1e9,
+        arbiter: config.arbiter,
+        cluster,
+        ias,
+        faults,
+        stale_rejoin,
+        telemetry: telemetry.clone(),
+        tenants,
+        ack_loss: Arc::new(Mutex::new(vec![0u32; n])),
+        stall_until: vec![0u64; n],
+        seen_q: vec![false; n],
+        quarantined_order: Vec::new(),
+        mirrored_q: vec![false; n],
+        want_rejoin: vec![false; n],
+        next_rejoin_round: vec![0u64; n],
+        crash_round: vec![None; n],
+        recovered_order: Vec::new(),
+        rejoin_rounds: None,
+        failover_rejected: Vec::new(),
+        readmitted: Vec::new(),
+    };
+    lp.arm_publish_ack_loss();
 
     // --- the one always-on service every tenant shares --------------
     // Stages, rings, and worker threads are built ONCE; every round
     // below is a message exchange with this running service. The
     // adversary is re-aimed between rounds through an atomic the TX sink
     // reads per delivery (the round barrier orders the store).
-    let stages: Vec<EnclaveFilterStage> = cluster
+    let stages: Vec<EnclaveFilterStage> = lp
+        .cluster
         .enclaves()
         .iter()
         .map(|e| EnclaveFilterStage::new(Arc::clone(e), FilterMode::SgxNearZeroCopy))
@@ -363,224 +346,32 @@ pub(crate) fn run_rounds(
                         .unwrap_or(NO_DROP_WORKER),
                     Ordering::Relaxed,
                 );
-
-                // Fire this round's scheduled faults (crashes take effect
-                // at the coming barrier; stalls/storms shape the offer
-                // window; ack loss arms the cluster's install hook).
-                for ev in faults.due(global_round) {
-                    match ev.kind {
-                        FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
-                        FaultKind::WorkerRecover { worker } => {
-                            want_rejoin[worker % n] = true;
-                            if let Some(hub) = &telemetry {
-                                hub.record_event(
-                                    EventKind::FaultInjected,
-                                    (worker % n) as u32,
-                                    fault::RECOVER,
-                                    0,
-                                );
-                            }
-                        }
-                        FaultKind::WorkerStall { worker, rounds } => {
-                            let w = worker % n;
-                            stall_until[w] = stall_until[w].max(global_round + rounds);
-                        }
-                        FaultKind::RingOverflowStorm { worker, packets } => {
-                            svc.inject_overflow_storm(worker % n, packets);
-                        }
-                        FaultKind::PublishAckLoss { slice, count } => {
-                            ack_loss.lock().expect("ack-loss counters poisoned")[slice % n] +=
-                                count;
-                            if let Some(hub) = &telemetry {
-                                hub.record_event(
-                                    EventKind::FaultInjected,
-                                    (slice % n) as u32,
-                                    fault::ACK_LOSS,
-                                    count as u64,
-                                );
-                            }
-                        }
-                        // Export faults fire inside each driver's hook.
-                        FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. } => {}
-                    }
-                }
-                for (w, &until) in stall_until.iter().enumerate() {
-                    if until > global_round && !svc.quarantined()[w] {
-                        svc.stall_worker(w, true);
-                    }
-                }
-
-                // Attempt scheduled rejoins: relaunch the slice on a fresh
-                // enclave, re-attest a NEW session *per tenant* (fresh
-                // channels, audit keys, and sketch seeds — pre-crash keys
-                // are never reused), replay rule and contract state from
-                // the master, and respawn the worker into probation. Live
-                // steering is untouched until every tenant has promoted
-                // the slice.
-                for w in 1..n {
-                    if !want_rejoin[w]
-                        || !svc.quarantined()[w]
-                        || svc.probation()[w]
-                        || global_round < next_rejoin_round[w]
-                        || cluster.quarantined()[0]
-                        || !tenants
-                            .iter()
-                            .any(|t| t.driver.state() == ContractState::Active)
-                    {
-                        continue;
-                    }
-                    want_rejoin[w] = false;
-                    if !tenants
-                        .iter()
-                        .all(|t| t.driver.quarantined()[w] && t.driver.rejoin_allowed(w))
-                    {
-                        continue;
-                    }
-                    cluster.relaunch_slice(w);
-                    for t in tenants.iter_mut() {
-                        if t.driver.state() != ContractState::Active {
-                            continue;
-                        }
-                        let fresh = t
-                            .client
-                            .establish_contract(
-                                Arc::clone(&cluster.enclaves()[w]),
-                                &ias,
-                                derive32(t.scenario.seed ^ global_round, t.rejoin_tag ^ w as u8),
-                                t.contract,
-                            )
-                            .expect("rejoin re-attestation handshake");
-                        t.driver.start_probation(
-                            w,
-                            Arc::clone(&cluster.enclaves()[w]),
-                            fresh.victim_verifier(),
-                            fresh.neighbor_verifier(),
-                        );
-                    }
-                    cluster.resync_slice(0, w);
-                    if stale_rejoin == Some(w) {
-                        // Adversarial variant (see `with_stale_rejoin`):
-                        // wipe the replayed rules and keep the slice out
-                        // of the control plane so churn cannot heal it —
-                        // probation must catch the desync on its own.
-                        cluster.enclaves()[w].ecall(move |app| {
-                            app.install_ruleset(vif_core::ruleset::RuleSet::new())
-                        });
-                        cluster.quarantine_slice(w);
-                    }
-                    svc.respawn_worker(
-                        w,
-                        EnclaveFilterStage::new(
-                            Arc::clone(&cluster.enclaves()[w]),
-                            FilterMode::SgxNearZeroCopy,
-                        ),
-                    );
-                    mirrored_q[w] = false;
-                }
+                lp.fire_faults(svc, global_round);
+                lp.attempt_rejoins(svc, global_round);
 
                 // Attribution state as the round *starts* (see
                 // `attribute_slice`): a worker dying this round still
                 // forwarded part of the offer under the old steering, so
                 // re-steer attribution kicks in next round.
-                let pre_q = svc.quarantined().to_vec();
-                let pre_live = svc.live_workers().to_vec();
-                let pre_prob = svc.probation().to_vec();
-
-                // Neighbor ASes observe what they hand over, attributed by
-                // the public steering hash (fingerprint-once per packet).
-                // A probation slice shadows its home shard: its fresh
-                // neighbor verifier observes the handover too (the live
-                // re-steered slice keeps its own). Every active tenant's
-                // schedule merges into one offered burst (arrival order
-                // per tenant is preserved; cross-tenant interleaving is
-                // irrelevant — verdicts are per packet and sketch updates
-                // commute).
-                merged.clear();
-                for t in tenants.iter_mut() {
-                    if !t.runs(global_round) {
-                        continue;
-                    }
-                    let round = &t.rounds[global_round as usize];
-                    for pkt in &round.packets {
-                        let fp = PacketFingerprints::of(&pkt.tuple);
-                        t.driver
-                            .neighbor_verifier_mut(attribute_slice(fp.tuple, &pre_q, &pre_live))
-                            .observe_fingerprint(fp.src_ip);
-                        let home = shard_of_fingerprint(fp.tuple, n);
-                        if pre_prob[home] {
-                            t.driver
-                                .neighbor_verifier_mut(home)
-                                .observe_fingerprint(fp.src_ip);
-                        }
-                    }
-                    merged.extend_from_slice(&round.packets);
-                }
+                let view = RoundView {
+                    global_round,
+                    pre_q: svc.quarantined().to_vec(),
+                    pre_live: svc.live_workers().to_vec(),
+                    pre_prob: svc.probation().to_vec(),
+                    adversary_from: adversary.map(|a| a.from_round),
+                };
+                lp.observe_offers(&view, &mut merged);
                 svc.round(&merged);
                 // Per-contract uncovered traffic for this round (the
                 // degraded-mode accountability counters).
                 let deltas = svc.contract_deltas().to_vec();
-
-                // Mirror newly service-quarantined workers into every
-                // tenant's audit driver and the cluster *before* any
-                // tenant closes its round (the dead slice's audit is
-                // excised and future churn skips it), then re-run
-                // admission over the shrunken pool. A worker on probation
-                // (quarantined *and* probation in the service) is left
-                // alone — the drivers audit it off its shadow logs; a
-                // worker that crashed *mid-probation* (a flap) is
-                // flap-demoted here for every tenant, with the rejoin
-                // attempt charged and backoff scheduled.
-                let mut new_quarantine = false;
-                for w in 0..n {
-                    if !svc.quarantined()[w] || svc.probation()[w] || mirrored_q[w] {
-                        continue;
-                    }
-                    mirrored_q[w] = true;
-                    new_quarantine = true;
-                    if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                        cluster.quarantine_slice(w);
-                    }
-                    let mut flap = false;
-                    let mut backoff = 0u64;
-                    let mut allowed = true;
-                    for t in tenants.iter_mut() {
-                        if t.driver.probation()[w] {
-                            t.driver.demote_slice(w);
-                            flap = true;
-                        } else if !t.driver.quarantined()[w] {
-                            t.driver.quarantine_slice(w);
-                        }
-                        backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                        allowed = allowed && t.driver.rejoin_allowed(w);
-                    }
-                    if flap {
-                        next_rejoin_round[w] = global_round + 1 + backoff;
-                        want_rejoin[w] = allowed;
-                    }
-                    if crash_round[w].is_none() {
-                        crash_round[w] = Some(global_round);
-                    }
-                }
-                if new_quarantine && !cluster.quarantined()[0] {
-                    let window_secs = (global_round + 1) as f64 * round_secs;
-                    let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
-                    for t in tenants.iter() {
-                        if let Some(AdmissionVerdict::Rejected { reason }) = arb.verdict(t.contract)
-                        {
-                            if !failover_rejected.iter().any(|r| r.contract == t.contract) {
-                                failover_rejected.push(RejectedContract {
-                                    contract: t.contract,
-                                    reason: reason.to_string(),
-                                });
-                            }
-                        }
-                    }
-                }
+                lp.mirror_service_quarantines(svc, global_round);
 
                 // Split what arrived by destination prefix: each tenant
                 // consumes only its own deliveries.
                 for tuple in forwarded.lock().expect("TX sink poisoned").drain(..) {
-                    if let Some(t) = tenants
+                    if let Some(t) = lp
+                        .tenants
                         .iter_mut()
                         .find(|t| t.scenario.victim.contains(tuple.dst_ip))
                     {
@@ -592,14 +383,7 @@ pub(crate) fn run_rounds(
                 // its churn publishes its own epoch before the next tenant
                 // is processed, so deferred install ids are assigned
                 // contract by contract, deterministically.
-                let view = RoundView {
-                    global_round,
-                    pre_q: &pre_q,
-                    pre_live: &pre_live,
-                    pre_prob: &pre_prob,
-                    adversary_from: adversary.map(|a| a.from_round),
-                };
-                for (t, policy) in tenants.iter_mut().zip(policies.iter_mut()) {
+                for (t, policy) in lp.tenants.iter_mut().zip(policies.iter_mut()) {
                     if !t.runs(global_round) {
                         continue;
                     }
@@ -608,120 +392,20 @@ pub(crate) fn run_rounds(
                         .find(|d| d.contract == t.contract)
                         .map(|d| d.uncovered)
                         .unwrap_or(0);
-                    step_tenant(t, &mut **policy, &view, &mut cluster, uncovered);
+                    step_tenant(t, &mut **policy, &view, &mut lp.cluster, uncovered);
                 }
 
-                // Record every new quarantine in discovery order, whether
-                // the service (a crash) or a driver (exhausted export
-                // retries) originated it.
-                for (w, seen) in seen_q.iter_mut().enumerate() {
-                    if !*seen
-                        && (svc.quarantined()[w]
-                            || tenants.iter().any(|t| t.driver.quarantined()[w]))
-                    {
-                        *seen = true;
-                        quarantined_order.push(w);
-                    }
-                }
-
-                // Probation verdicts, coordinated across tenants: ANY
-                // tenant's dirty (or unauditable) probation audit demotes
-                // the slice for everyone — mirrored into the dataplane and
-                // the cluster, with the next attempt scheduled after
-                // exponential backoff; the worker is restored into the
-                // steering hash, byte-identical to pre-crash, only once
-                // EVERY tenant still auditing has promoted it.
-                let mut demoted_ws: BTreeSet<usize> = BTreeSet::new();
-                let mut promoted_ws: BTreeSet<usize> = BTreeSet::new();
-                for t in tenants.iter_mut() {
-                    demoted_ws.extend(t.driver.take_demoted());
-                    promoted_ws.extend(t.driver.take_promoted());
-                }
-                for &w in &demoted_ws {
-                    promoted_ws.remove(&w);
-                    if svc.probation()[w] {
-                        svc.demote_worker(w);
-                    }
-                    if !cluster.quarantined()[w] && cluster.live_len() > 1 {
-                        cluster.quarantine_slice(w);
-                    }
-                    mirrored_q[w] = true;
-                    let mut backoff = 0u64;
-                    let mut allowed = true;
-                    for t in tenants.iter_mut() {
-                        if t.driver.probation()[w] {
-                            t.driver.demote_slice(w);
-                        } else if !t.driver.quarantined()[w] {
-                            t.driver.quarantine_slice(w);
-                        }
-                        backoff = backoff.max(t.driver.rejoin_backoff_rounds(w));
-                        allowed = allowed && t.driver.rejoin_allowed(w);
-                    }
-                    next_rejoin_round[w] = global_round + 1 + backoff;
-                    want_rejoin[w] = allowed;
-                }
-                for &w in &promoted_ws {
-                    let all_clear = tenants.iter().all(|t| {
-                        !t.runs(global_round)
-                            || (!t.driver.probation()[w] && !t.driver.quarantined()[w])
-                    });
-                    if !all_clear {
-                        continue;
-                    }
-                    svc.restore_worker(w);
-                    recovered_order.push(w);
-                    if rejoin_rounds.is_none() {
-                        rejoin_rounds = crash_round[w].map(|c| global_round - c);
-                    }
-                    // The pool grew back: re-run admission over the
-                    // restored slices and re-admit failover-rejected
-                    // contracts that fit again.
-                    let window_secs = (global_round + 1) as f64 * round_secs;
-                    let arb = cluster.rearbitrate(0, window_secs, 0.1, config.arbiter);
-                    failover_rejected.retain(|r| {
-                        if matches!(
-                            arb.verdict(r.contract),
-                            Some(AdmissionVerdict::Rejected { .. })
-                        ) {
-                            true
-                        } else {
-                            readmitted.push(r.contract);
-                            false
-                        }
-                    });
-                }
-
-                if tenants
+                lp.record_quarantines(svc);
+                lp.settle_probation(svc, global_round);
+                if lp
+                    .tenants
                     .iter()
                     .all(|t| t.driver.state() != ContractState::Active)
                 {
                     break; // every victim aborted its contract
                 }
             }
-
-            tenants
-                .iter()
-                .map(|t| ScenarioReport {
-                    scenario: t.scenario.name.clone(),
-                    contract: t.contract,
-                    seed: t.scenario.seed,
-                    workers: n,
-                    phases: t.phases.clone(),
-                    rounds: t.rounds_run,
-                    dirty_rounds: t.dirty_rounds,
-                    final_state: t.driver.state(),
-                    detection_latency_rounds: t.detection_latency,
-                    rules_installed: t.total_installed,
-                    rules_withdrawn: t.total_withdrawn,
-                    quarantined_slices: quarantined_order.clone(),
-                    recovery_rounds: t
-                        .outage_start
-                        .and_then(|start| t.recovered_at.map(|r| r - start)),
-                    recovered_slices: recovered_order.clone(),
-                    rejoin_rounds,
-                    probation_rounds: t.driver.probation_rounds_used(),
-                })
-                .collect::<Vec<_>>()
+            lp.reports()
         },
     );
     for (report, policy) in reports.iter().zip(policies.iter_mut()) {
@@ -729,18 +413,424 @@ pub(crate) fn run_rounds(
     }
     RunOutcome {
         reports,
-        failover_rejected,
-        readmitted,
+        failover_rejected: lp.failover_rejected,
+        readmitted: lp.readmitted,
+    }
+}
+
+/// The round loop's state across rounds: the shared infrastructure, the
+/// tenants, and the slice-lifecycle bookkeeping (indexed by slice).
+struct RoundLoop {
+    n: usize,
+    round_secs: f64,
+    arbiter: ArbiterConfig,
+    cluster: EnclaveCluster,
+    ias: AttestationService,
+    faults: FaultPlan,
+    stale_rejoin: Option<usize>,
+    telemetry: Option<Arc<TelemetryHub>>,
+    tenants: Vec<Tenant>,
+    /// Publish-ack losses still to inflict per slice: armed by the fault
+    /// schedule, consumed by the cluster's install path.
+    ack_loss: Arc<Mutex<Vec<u32>>>,
+    /// Stall windows (exclusive end round) re-asserted every round of the
+    /// window: the round barrier force-releases a stall, so a multi-round
+    /// stall is |rounds| single-round stalls.
+    stall_until: Vec<u64>,
+    /// Slices already in `quarantined_order`.
+    seen_q: Vec<bool>,
+    quarantined_order: Vec<usize>,
+    /// Crashes already mirrored into every tenant's driver and the
+    /// cluster; cleared when the slice re-enters probation so a flap
+    /// (re-crash mid-probation) mirrors again.
+    mirrored_q: Vec<bool>,
+    /// Slices a seeded WorkerRecover wants back in (re-armed with
+    /// exponential backoff after each failed probation, until every
+    /// tenant's rejoin budget is spent — flap damping).
+    want_rejoin: Vec<bool>,
+    next_rejoin_round: Vec<u64>,
+    crash_round: Vec<Option<u64>>,
+    recovered_order: Vec<usize>,
+    rejoin_rounds: Option<u64>,
+    failover_rejected: Vec<RejectedContract>,
+    readmitted: Vec<ContractId>,
+}
+
+impl RoundLoop {
+    /// Hooks the cluster's publish-ack path to the ack-loss countdown when
+    /// the schedule injects any.
+    fn arm_publish_ack_loss(&mut self) {
+        if !self
+            .faults
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::PublishAckLoss { .. }))
+        {
+            return;
+        }
+        let counts = Arc::clone(&self.ack_loss);
+        self.cluster
+            .set_publish_ack_loss(Box::new(move |slice, _attempt| {
+                let mut counts = counts.lock().expect("ack-loss counters poisoned");
+                if counts[slice] > 0 {
+                    counts[slice] -= 1;
+                    true
+                } else {
+                    false
+                }
+            }));
+    }
+
+    /// Fires this round's scheduled faults (crashes take effect at the
+    /// coming barrier; stalls/storms shape the offer window; ack loss arms
+    /// the cluster's install hook; export faults fire inside each driver's
+    /// hook) and re-asserts open stall windows.
+    fn fire_faults<R: FnMut(&FiveTuple) -> usize>(
+        &mut self,
+        svc: &mut ServiceHandle<'_, '_, R>,
+        global_round: u64,
+    ) {
+        let n = self.n;
+        for ev in self.faults.due(global_round) {
+            match ev.kind {
+                FaultKind::WorkerCrash { worker } => svc.inject_crash(worker % n),
+                FaultKind::WorkerRecover { worker } => {
+                    self.want_rejoin[worker % n] = true;
+                    if let Some(hub) = &self.telemetry {
+                        hub.record_event(
+                            EventKind::FaultInjected,
+                            (worker % n) as u32,
+                            fault::RECOVER,
+                            0,
+                        );
+                    }
+                }
+                FaultKind::WorkerStall { worker, rounds } => {
+                    let w = worker % n;
+                    self.stall_until[w] = self.stall_until[w].max(global_round + rounds);
+                }
+                FaultKind::RingOverflowStorm { worker, packets } => {
+                    svc.inject_overflow_storm(worker % n, packets);
+                }
+                FaultKind::PublishAckLoss { slice, count } => {
+                    self.ack_loss.lock().expect("ack-loss counters poisoned")[slice % n] += count;
+                    if let Some(hub) = &self.telemetry {
+                        hub.record_event(
+                            EventKind::FaultInjected,
+                            (slice % n) as u32,
+                            fault::ACK_LOSS,
+                            count as u64,
+                        );
+                    }
+                }
+                FaultKind::ExportCorrupt { .. } | FaultKind::ExportTimeout { .. } => {}
+            }
+        }
+        for (w, &until) in self.stall_until.iter().enumerate() {
+            if until > global_round && !svc.quarantined()[w] {
+                svc.stall_worker(w, true);
+            }
+        }
+    }
+
+    /// Attempts scheduled rejoins: relaunches the slice on a fresh
+    /// enclave, re-attests a NEW session *per tenant* (fresh channels,
+    /// audit keys, and sketch seeds — pre-crash keys are never reused),
+    /// replays rule and contract state from the master, and respawns the
+    /// worker into probation. Live steering is untouched until every
+    /// tenant has promoted the slice.
+    fn attempt_rejoins<R: FnMut(&FiveTuple) -> usize>(
+        &mut self,
+        svc: &mut ServiceHandle<'_, '_, R>,
+        global_round: u64,
+    ) {
+        for w in 1..self.n {
+            if !self.want_rejoin[w]
+                || !svc.quarantined()[w]
+                || svc.probation()[w]
+                || global_round < self.next_rejoin_round[w]
+                || self.cluster.quarantined()[0]
+                || !self
+                    .tenants
+                    .iter()
+                    .any(|t| t.driver.state() == ContractState::Active)
+            {
+                continue;
+            }
+            self.want_rejoin[w] = false;
+            if !self
+                .tenants
+                .iter()
+                .all(|t| t.driver.quarantined()[w] && t.driver.rejoin_allowed(w))
+            {
+                continue;
+            }
+            self.cluster.relaunch_slice(w);
+            let enclave = Arc::clone(&self.cluster.enclaves()[w]);
+            for t in self.tenants.iter_mut() {
+                if t.driver.state() != ContractState::Active {
+                    continue;
+                }
+                let fresh = t
+                    .client
+                    .establish_contract(
+                        Arc::clone(&enclave),
+                        &self.ias,
+                        derive32(t.scenario.seed ^ global_round, t.rejoin_tag ^ w as u8),
+                        t.contract,
+                    )
+                    .expect("rejoin re-attestation handshake");
+                t.driver.start_probation(
+                    w,
+                    Arc::clone(&enclave),
+                    fresh.victim_verifier(),
+                    fresh.neighbor_verifier(),
+                );
+            }
+            self.cluster.resync_slice(0, w);
+            if self.stale_rejoin == Some(w) {
+                // Adversarial variant (see `with_stale_rejoin`): wipe the
+                // replayed rules and keep the slice out of the control
+                // plane so churn cannot heal it — probation must catch the
+                // desync on its own.
+                enclave.ecall(move |app| app.install_ruleset(vif_core::ruleset::RuleSet::new()));
+                self.cluster.quarantine_slice(w);
+            }
+            svc.respawn_worker(
+                w,
+                EnclaveFilterStage::new(enclave, FilterMode::SgxNearZeroCopy),
+            );
+            self.mirrored_q[w] = false;
+        }
+    }
+
+    /// Neighbor ASes observe what they hand over, attributed by the public
+    /// steering hash (fingerprint-once per packet). A probation slice
+    /// shadows its home shard: its fresh neighbor verifier observes the
+    /// handover too (the live re-steered slice keeps its own). Every
+    /// active tenant's schedule merges into one offered burst in `merged`
+    /// (arrival order per tenant is preserved; cross-tenant interleaving
+    /// is irrelevant — verdicts are per packet and sketch updates commute).
+    fn observe_offers(&mut self, view: &RoundView, merged: &mut Vec<Packet>) {
+        merged.clear();
+        for t in self.tenants.iter_mut() {
+            if !t.runs(view.global_round) {
+                continue;
+            }
+            let round = &t.rounds[view.global_round as usize];
+            for pkt in &round.packets {
+                let fp = PacketFingerprints::of(&pkt.tuple);
+                t.driver
+                    .neighbor_verifier_mut(attribute_slice(fp.tuple, &view.pre_q, &view.pre_live))
+                    .observe_fingerprint(fp.src_ip);
+                let home = shard_of_fingerprint(fp.tuple, self.n);
+                if view.pre_prob[home] {
+                    t.driver
+                        .neighbor_verifier_mut(home)
+                        .observe_fingerprint(fp.src_ip);
+                }
+            }
+            merged.extend_from_slice(&round.packets);
+        }
+    }
+
+    /// Mirrors newly service-quarantined workers into every tenant's audit
+    /// driver and the cluster *before* any tenant closes its round (the
+    /// dead slice's audit is excised and future churn skips it), then
+    /// re-runs admission over the shrunken pool. A worker on probation
+    /// (quarantined *and* probation in the service) is left alone — the
+    /// drivers audit it off its shadow logs; a worker that crashed
+    /// *mid-probation* (a flap) is flap-demoted here for every tenant,
+    /// with the rejoin attempt charged and backoff scheduled.
+    fn mirror_service_quarantines<R: FnMut(&FiveTuple) -> usize>(
+        &mut self,
+        svc: &ServiceHandle<'_, '_, R>,
+        global_round: u64,
+    ) {
+        let mut new_quarantine = false;
+        for w in 0..self.n {
+            if !svc.quarantined()[w] || svc.probation()[w] || self.mirrored_q[w] {
+                continue;
+            }
+            self.mirrored_q[w] = true;
+            new_quarantine = true;
+            if !self.cluster.quarantined()[w] && self.cluster.live_len() > 1 {
+                self.cluster.quarantine_slice(w);
+            }
+            if self.quarantine_in_drivers(w) {
+                self.schedule_rejoin(w, global_round);
+            }
+            if self.crash_round[w].is_none() {
+                self.crash_round[w] = Some(global_round);
+            }
+        }
+        if new_quarantine && !self.cluster.quarantined()[0] {
+            let arb = self.rearbitrate(global_round);
+            for t in &self.tenants {
+                if let Some(AdmissionVerdict::Rejected { reason }) = arb.verdict(t.contract) {
+                    if !self
+                        .failover_rejected
+                        .iter()
+                        .any(|r| r.contract == t.contract)
+                    {
+                        self.failover_rejected.push(RejectedContract {
+                            contract: t.contract,
+                            reason: reason.to_string(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Records every new quarantine in discovery order, whether the
+    /// service (a crash) or a driver (exhausted export retries)
+    /// originated it.
+    fn record_quarantines<R: FnMut(&FiveTuple) -> usize>(
+        &mut self,
+        svc: &ServiceHandle<'_, '_, R>,
+    ) {
+        for (w, seen) in self.seen_q.iter_mut().enumerate() {
+            if !*seen
+                && (svc.quarantined()[w] || self.tenants.iter().any(|t| t.driver.quarantined()[w]))
+            {
+                *seen = true;
+                self.quarantined_order.push(w);
+            }
+        }
+    }
+
+    /// Probation verdicts, coordinated across tenants: ANY tenant's dirty
+    /// (or unauditable) probation audit demotes the slice for everyone —
+    /// mirrored into the dataplane and the cluster, with the next attempt
+    /// scheduled after exponential backoff; the worker is restored into
+    /// the steering hash, byte-identical to pre-crash, only once EVERY
+    /// tenant still auditing has promoted it.
+    fn settle_probation<R: FnMut(&FiveTuple) -> usize>(
+        &mut self,
+        svc: &mut ServiceHandle<'_, '_, R>,
+        global_round: u64,
+    ) {
+        let mut demoted_ws: BTreeSet<usize> = BTreeSet::new();
+        let mut promoted_ws: BTreeSet<usize> = BTreeSet::new();
+        for t in self.tenants.iter_mut() {
+            demoted_ws.extend(t.driver.take_demoted());
+            promoted_ws.extend(t.driver.take_promoted());
+        }
+        for &w in &demoted_ws {
+            promoted_ws.remove(&w);
+            if svc.probation()[w] {
+                svc.demote_worker(w);
+            }
+            if !self.cluster.quarantined()[w] && self.cluster.live_len() > 1 {
+                self.cluster.quarantine_slice(w);
+            }
+            self.mirrored_q[w] = true;
+            self.quarantine_in_drivers(w);
+            self.schedule_rejoin(w, global_round);
+        }
+        for &w in &promoted_ws {
+            let all_clear = self.tenants.iter().all(|t| {
+                !t.runs(global_round) || (!t.driver.probation()[w] && !t.driver.quarantined()[w])
+            });
+            if !all_clear {
+                continue;
+            }
+            svc.restore_worker(w);
+            self.recovered_order.push(w);
+            if self.rejoin_rounds.is_none() {
+                self.rejoin_rounds = self.crash_round[w].map(|c| global_round - c);
+            }
+            // The pool grew back: re-run admission over the restored
+            // slices and re-admit failover-rejected contracts that fit
+            // again.
+            let arb = self.rearbitrate(global_round);
+            let readmitted = &mut self.readmitted;
+            self.failover_rejected.retain(|r| {
+                if matches!(
+                    arb.verdict(r.contract),
+                    Some(AdmissionVerdict::Rejected { .. })
+                ) {
+                    true
+                } else {
+                    readmitted.push(r.contract);
+                    false
+                }
+            });
+        }
+    }
+
+    /// Quarantines slice `w` in every tenant's audit driver, demoting it
+    /// where it was on probation. Returns whether any tenant demoted it
+    /// (a failed rejoin).
+    fn quarantine_in_drivers(&mut self, w: usize) -> bool {
+        let mut demoted = false;
+        for t in self.tenants.iter_mut() {
+            if t.driver.probation()[w] {
+                t.driver.demote_slice(w);
+                demoted = true;
+            } else if !t.driver.quarantined()[w] {
+                t.driver.quarantine_slice(w);
+            }
+        }
+        demoted
+    }
+
+    /// Schedules slice `w`'s next rejoin attempt after the longest backoff
+    /// any tenant asks for, if every tenant still has rejoin budget.
+    fn schedule_rejoin(&mut self, w: usize, global_round: u64) {
+        let backoff = self
+            .tenants
+            .iter()
+            .map(|t| t.driver.rejoin_backoff_rounds(w))
+            .max()
+            .unwrap_or(0);
+        self.next_rejoin_round[w] = global_round + 1 + backoff;
+        self.want_rejoin[w] = self.tenants.iter().all(|t| t.driver.rejoin_allowed(w));
+    }
+
+    /// Admission re-run over the live slices, with every round so far as
+    /// the demand window.
+    fn rearbitrate(&self, global_round: u64) -> Arbitration {
+        let window_secs = (global_round + 1) as f64 * self.round_secs;
+        self.cluster.rearbitrate(0, window_secs, 0.1, self.arbiter)
+    }
+
+    /// One report per tenant, in tenant order.
+    fn reports(&self) -> Vec<ScenarioReport> {
+        self.tenants
+            .iter()
+            .map(|t| ScenarioReport {
+                scenario: t.scenario.name.clone(),
+                contract: t.contract,
+                seed: t.scenario.seed,
+                workers: self.n,
+                phases: t.phases.clone(),
+                rounds: t.rounds_run,
+                dirty_rounds: t.dirty_rounds,
+                final_state: t.driver.state(),
+                detection_latency_rounds: t.detection_latency,
+                rules_installed: t.total_installed,
+                rules_withdrawn: t.total_withdrawn,
+                quarantined_slices: self.quarantined_order.clone(),
+                recovery_rounds: t
+                    .outage_start
+                    .and_then(|start| t.recovered_at.map(|r| r - start)),
+                recovered_slices: self.recovered_order.clone(),
+                rejoin_rounds: self.rejoin_rounds,
+                probation_rounds: t.driver.probation_rounds_used(),
+            })
+            .collect()
     }
 }
 
 /// The round state every tenant's step reads.
-struct RoundView<'a> {
+struct RoundView {
     global_round: u64,
     /// Service quarantine/live/probation state as the round started.
-    pre_q: &'a [bool],
-    pre_live: &'a [usize],
-    pre_prob: &'a [bool],
+    pre_q: Vec<bool>,
+    pre_live: Vec<usize>,
+    pre_prob: Vec<bool>,
     /// First round of the scenario adversary, if one is configured.
     adversary_from: Option<u64>,
 }
@@ -750,7 +840,7 @@ struct RoundView<'a> {
 fn step_tenant(
     t: &mut Tenant,
     policy: &mut dyn VictimPolicy,
-    view: &RoundView<'_>,
+    view: &RoundView,
     cluster: &mut EnclaveCluster,
     uncovered: u64,
 ) {
@@ -776,7 +866,7 @@ fn step_tenant(
     for tuple in t.received.drain(..) {
         let fp = PacketFingerprints::of(&tuple);
         t.driver
-            .victim_verifier_mut(attribute_slice(fp.tuple, view.pre_q, view.pre_live))
+            .victim_verifier_mut(attribute_slice(fp.tuple, &view.pre_q, &view.pre_live))
             .observe_fingerprint(fp.tuple);
         // The stateless filter is deterministic, so the shadow copy of
         // every sink-delivered home-shard packet was forwarded (and
